@@ -11,8 +11,6 @@ from .core import (
     ArgumentOutOfRange,
     BlockSizeOutOfRange,
     DegenerateSpacing,
-    EstimateRecord,
-    Evi,
     InstanceTooLarge,
     NonFiniteInput,
     NonPositiveArgument,
@@ -40,14 +38,11 @@ from .estimators import (
     GpMlFit,
     excesses_over_threshold,
     gp_ml_fit,
-    paired_comparison,
-    pickands_trajectory,
 )
 from .asymptotics import (
     BiasEstimate,
     VarianceEstimate,
     bias_bk_mc,
-    bootstrap_ci,
     digamma_moments,
     erlang_neg_rho_moment,
     h_gamma_rho,

@@ -19,7 +19,6 @@ from scipy.special import digamma, gammaln, ndtri
 from .core import (
     ArgumentOutOfRange,
     DegenerateSpacing,
-    EstimateRecord,
     SortedSample,
     pickands_g_prime,
     pickands_kernel_vec,
@@ -173,6 +172,25 @@ def bias_bk_mc(gamma: float, rho: float, reps: int, rng: RngStream) -> BiasEstim
     )
 
 
+def _gp_resample_estimates(
+    gamma: float, n: int, m: int, reps: int, rng: RngStream
+) -> np.ndarray:
+    """Pickands estimates at block size m on ``reps`` fresh GP(gamma) samples of size n.
+
+    Samples are drawn in chunks of at most ~50 MB; a sample with a tie in
+    the touched index range gives NaN.
+    """
+    g = rng.generator()
+    est = np.empty(reps)
+    chunk = max(1, min(reps, 50_000_000 // (n * 8)))
+    for start in range(0, reps, chunk):
+        stop = min(start + chunk, reps)
+        u = g.random((stop - start, n))
+        z = np.sort(h_gamma(gamma, 1.0 / (1.0 - u)), axis=1)[:, ::-1]
+        est[start:stop] = pickands_ustat_batch(np.ascontiguousarray(z), m)
+    return est
+
+
 def sigma2_kvar_mc(
     gamma: float, n: int, m: int, reps: int, rng: RngStream
 ) -> VarianceEstimate:
@@ -185,14 +203,7 @@ def sigma2_kvar_mc(
         raise ArgumentOutOfRange("need at least 100 replications")
     if not 3 <= m <= n:
         raise ArgumentOutOfRange(f"need 3 <= m <= n, got m={m}, n={n}")
-    g = rng.generator()
-    est = np.empty(reps)
-    chunk = max(1, min(reps, 50_000_000 // (n * 8)))
-    for start in range(0, reps, chunk):
-        stop = min(start + chunk, reps)
-        u = g.random((stop - start, n))
-        z = np.sort(h_gamma(gamma, 1.0 / (1.0 - u)), axis=1)[:, ::-1]
-        est[start:stop] = pickands_ustat_batch(np.ascontiguousarray(z), m)
+    est = _gp_resample_estimates(gamma, n, m, reps, rng)
     est = est[np.isfinite(est)]
     r = est.size
     if r < 100:
@@ -316,15 +327,7 @@ def parametric_bootstrap(
     if not 0.0 < level < 1.0:
         raise ArgumentOutOfRange("confidence level must lie in (0, 1)")
     point = pickands_ustat(sample, m)
-    n = sample.n
-    g = rng.generator()
-    chunk = max(1, min(boot_reps, 50_000_000 // (n * 8)))
-    est = np.empty(boot_reps)
-    for start in range(0, boot_reps, chunk):
-        stop = min(start + chunk, boot_reps)
-        u = g.random((stop - start, n))
-        z = np.sort(h_gamma(point, 1.0 / (1.0 - u)), axis=1)[:, ::-1]
-        est[start:stop] = pickands_ustat_batch(np.ascontiguousarray(z), m)
+    est = _gp_resample_estimates(point, sample.n, m, boot_reps, rng)
     ok = np.isfinite(est)
     dropped = int(boot_reps - ok.sum())
     if ok.sum() < 2:
@@ -340,19 +343,3 @@ def parametric_bootstrap(
         boot_reps=boot_reps,
         dropped=dropped,
     )
-
-
-def bootstrap_ci(
-    sample: SortedSample, m: int, boot_reps: int, level: float, rng: RngStream
-) -> EstimateRecord:
-    """Point estimate with a parametric bootstrap confidence interval."""
-    out = parametric_bootstrap(sample, m, boot_reps, level, rng)
-    return EstimateRecord(
-        estimator="ExtremePickands",
-        m_or_k=m,
-        gamma_hat=out.gamma_hat,
-        stderr=out.stderr,
-        ci_low=out.ci_low,
-        ci_high=out.ci_high,
-    )
-

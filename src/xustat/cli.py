@@ -15,8 +15,8 @@ import numpy as np
 from . import asymptotics, dist, harness, ustat
 from .core import (
     PICKANDS_KERNEL,
-    SortedSample,
     TailInferenceError,
+    read_sample_file,
     sort_sample,
 )
 
@@ -40,23 +40,10 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
-def _read_sample_file(path: str) -> SortedSample:
-    values: List[float] = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if line:
-                    values.append(float(line))
-    except (OSError, ValueError) as exc:
-        raise TailInferenceError(f"cannot read sample file {path}: {exc}") from exc
-    return sort_sample(values)
-
-
 def _cmd_estimate(args) -> int:
     if args.m < 3:
         raise CliUsageError("--m must be at least 3")
-    sample = _read_sample_file(args.input)
+    sample = read_sample_file(args.input)
     if args.bootstrap is None:
         gamma_hat = ustat.pickands_ustat(sample, args.m, truncation=args.truncation)
         print(f"gamma_hat={gamma_hat!r}")
@@ -124,7 +111,6 @@ def _cmd_variance_table(args) -> int:
         raise CliUsageError("--gammas must list at least one value")
     if args.m < 3 or args.m > args.n:
         raise CliUsageError("need 3 <= m <= n")
-    rows = []
     for gi, gamma in enumerate(gammas):
         est = asymptotics.sigma2_kvar_mc(
             gamma, args.n, args.m, args.reps, dist.RngStream(args.seed, gi)
@@ -133,7 +119,6 @@ def _cmd_variance_table(args) -> int:
             f"gamma={gamma!r} sigma2={est.sigma2!r} stderr={est.stderr!r} "
             f"gpml_norm={(1.0 + gamma) ** 2 / 3.0!r}"
         )
-        rows.append(est)
     return EXIT_OK
 
 
@@ -160,7 +145,7 @@ def _cmd_bootstrap(args) -> int:
         raise CliUsageError("--boot-reps must be at least 200")
     if not 0.0 < args.level < 1.0:
         raise CliUsageError("--level must lie in (0, 1)")
-    sample = _read_sample_file(args.input)
+    sample = read_sample_file(args.input)
     out = asymptotics.parametric_bootstrap(
         sample, args.m, args.boot_reps, args.level, dist.RngStream(args.seed)
     )

@@ -1,10 +1,11 @@
-"""Shared domain types, validation errors, and the top-q kernel abstraction."""
+"""Shared domain types, validation errors, the sample-file reader, and the
+top-q kernel abstraction."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -85,15 +86,22 @@ def sort_sample(raw: Sequence[float]) -> SortedSample:
     return SortedSample(np.sort(v, kind="stable")[::-1])
 
 
-@dataclass(frozen=True)
-class Evi:
-    """Extreme value index: the shape parameter governing tail heaviness."""
+def read_sample_file(path: str) -> SortedSample:
+    """Sorted sample from a text file holding one number per line.
 
-    gamma: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.gamma):
-            raise NonFiniteInput("extreme value index must be finite")
+    ``#`` starts a comment and blank lines are skipped.  A file that cannot
+    be opened or a line that is not a number raises TailInferenceError.
+    """
+    values: List[float] = []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for raw in fh:
+                line = raw.split("#", 1)[0].strip()
+                if line:
+                    values.append(float(line))
+    except (OSError, ValueError) as exc:
+        raise TailInferenceError(f"cannot read sample file {path}: {exc}") from exc
+    return sort_sample(values)
 
 
 @dataclass(frozen=True)
@@ -102,50 +110,15 @@ class TopQKernel:
 
     ``eval`` maps a strictly decreasing length-q vector to a real.  A
     non-constant location-scale invariant kernel needs at least three
-    arguments, hence q >= 3.  ``g_prime`` is the derivative of the scalar
-    representation g with K(y) = g(ln((y1-y2)/(y2-y3))) when one exists, and
-    ``partials`` are the q first-order partial derivatives.
+    arguments, hence q >= 3.
     """
 
     q: int
     eval: Callable[[np.ndarray], float]
-    g_prime: Optional[Callable[[float], float]] = None
-    partials: Optional[Tuple[Callable, ...]] = None
 
     def __post_init__(self):
         if self.q < 3:
             raise ArgumentOutOfRange("a location-scale invariant kernel needs q >= 3")
-        if self.partials is not None and len(self.partials) != self.q:
-            raise ArgumentOutOfRange("need one partial derivative per argument")
-
-
-@dataclass(frozen=True)
-class EstimateRecord:
-    """One point estimate of the extreme value index.
-
-    ``m_or_k`` is the block size m for the extreme U-Pickands estimator and
-    the exceedance count k for GP maximum likelihood.
-    """
-
-    estimator: str  # "ExtremePickands" or "GpMl"
-    m_or_k: int
-    gamma_hat: float
-    stderr: Optional[float] = None
-    ci_low: Optional[float] = None
-    ci_high: Optional[float] = None
-
-    def __post_init__(self):
-        if self.estimator not in ("ExtremePickands", "GpMl"):
-            raise ArgumentOutOfRange(f"unknown estimator {self.estimator!r}")
-        if self.m_or_k < 1:
-            raise ArgumentOutOfRange("m_or_k must be positive")
-        if self.stderr is not None and self.stderr < 0:
-            raise ArgumentOutOfRange("stderr must be nonnegative")
-        if self.ci_low is not None and self.ci_high is not None:
-            if math.isfinite(self.gamma_hat) and not (
-                self.ci_low <= self.gamma_hat <= self.ci_high
-            ):
-                raise ArgumentOutOfRange("confidence interval must contain the estimate")
 
 
 def pickands_g(t):
@@ -195,13 +168,4 @@ def pickands_partials(x1, x2, x3):
     return k1, -k1 - k3, k3
 
 
-PICKANDS_KERNEL = TopQKernel(
-    q=3,
-    eval=lambda y: pickands_kernel(y[0], y[1], y[2]),
-    g_prime=pickands_g_prime,
-    partials=(
-        lambda y: pickands_partials(y[0], y[1], y[2])[0],
-        lambda y: pickands_partials(y[0], y[1], y[2])[1],
-        lambda y: pickands_partials(y[0], y[1], y[2])[2],
-    ),
-)
+PICKANDS_KERNEL = TopQKernel(q=3, eval=lambda y: pickands_kernel(y[0], y[1], y[2]))

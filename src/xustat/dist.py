@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from .core import (
     ArgumentOutOfRange,
@@ -195,40 +194,6 @@ def sample(spec: DistributionSpec, n: int, rng: RngStream) -> SortedSample:
     if n < 3:
         raise TooFewObservations(f"need at least 3 observations, got {n}")
     return SortedSample(np.sort(draw(spec, n, rng))[::-1])
-
-
-def gp_order_stat_check(
-    gamma: float, m: int, q: int, reps: int, rng: RngStream
-) -> float:
-    """Two-sample diagnostic for the GP top-q order statistic representation.
-
-    Compares, margin by margin, directly sampled top-q order statistics of a
-    GP(gamma) m-sample against T + (1 + gamma*T) * Z_{q-i:q-1}, where T is
-    the q-th largest order statistic (drawn through its Beta(m-q+1, q)
-    uniform representation) and the Z's are q-1 fresh GP(gamma) draws with
-    Z_{0:q-1} = 0.  Returns the largest of the q two-sample
-    Kolmogorov-Smirnov distances.
-    """
-    if q < 1 or m < q:
-        raise ArgumentOutOfRange("need 1 <= q <= m")
-    if reps < 2:
-        raise ArgumentOutOfRange("need at least 2 replications")
-    g = rng.generator()
-    direct = np.sort(
-        h_gamma(gamma, 1.0 / (1.0 - g.random((reps, m)))), axis=1
-    )[:, m - q:]
-    b = g.beta(m - q + 1, q, size=reps)
-    t = h_gamma(gamma, 1.0 / (1.0 - b))
-    if q > 1:
-        z = np.sort(h_gamma(gamma, 1.0 / (1.0 - g.random((reps, q - 1)))), axis=1)
-        z = np.concatenate([np.zeros((reps, 1)), z], axis=1)
-    else:
-        z = np.zeros((reps, 1))
-    represented = t[:, None] + (1.0 + gamma * t[:, None]) * z
-    dist = 0.0
-    for i in range(q):
-        dist = max(dist, float(ks_2samp(direct[:, i], represented[:, i]).statistic))
-    return dist
 
 
 _FAMILY_BUILDERS = {

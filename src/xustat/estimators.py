@@ -1,29 +1,25 @@
-"""End-user estimators of the extreme value index.
+"""The generalized Pareto maximum likelihood comparison estimator.
 
-The extreme U-Pickands estimator evaluated over a grid of block sizes, and
-the location-scale invariant generalized Pareto maximum likelihood estimator
-on threshold excesses, paired through k = 3n/m so both see the same number
-of tail observations.
+A location-scale invariant profile-likelihood fit on threshold excesses,
+paired with the extreme U-Pickands estimator at block size m through
+k = 3n/m so both see the same number of tail observations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .core import (
     ArgumentOutOfRange,
-    BlockSizeOutOfRange,
     DegenerateSpacing,
-    EstimateRecord,
     SortedSample,
     ThresholdOutOfRange,
     TooFewObservations,
 )
-from .ustat import pickands_ustat_grid
 
 _PROFILE_GRID = 400
 _GOLDEN_TOL = 1e-12
@@ -187,42 +183,6 @@ def _refine_bracket(a: float, b: float, x: np.ndarray) -> Tuple[float, bool, int
     return 0.5 * (a + b), converged, iters
 
 
-def pickands_trajectory(
-    sample: SortedSample, m_grid: Sequence[int]
-) -> List[EstimateRecord]:
-    """Extreme U-Pickands estimates over a grid of block sizes.
-
-    One shared pass of inner sums serves the whole grid.  Per-m failures
-    (ties inside the touched index range) are recorded as NaN estimates
-    rather than raised.
-    """
-    estimates = pickands_ustat_grid(sample, m_grid)
-    return [
-        EstimateRecord(estimator="ExtremePickands", m_or_k=m, gamma_hat=estimates[m])
-        for m in m_grid
-    ]
-
-
 def paired_k(n: int, m: int) -> int:
     """Threshold count paired with block size m: k = floor(3n/m), capped at n-1."""
     return min(3 * n // m, n - 1)
-
-
-def paired_comparison(
-    sample: SortedSample, m: int
-) -> Tuple[EstimateRecord, EstimateRecord]:
-    """The two estimators on the same sample with matched tail usage.
-
-    The Pickands estimator runs at block size m; GP ML runs on the
-    k = floor(3n/m) excesses so both consume 3n/m tail observations.
-    """
-    n = sample.n
-    if not 3 <= m <= n:
-        raise BlockSizeOutOfRange(f"block size {m} outside [3, {n}]")
-    k = paired_k(n, m)
-    if k < 5:
-        raise ThresholdOutOfRange(f"k = floor(3n/m) = {k} < 5 excesses")
-    pick = pickands_trajectory(sample, [m])[0]
-    fit = gp_ml_fit(excesses_over_threshold(sample, k))
-    gpml = EstimateRecord(estimator="GpMl", m_or_k=k, gamma_hat=fit.gamma_hat)
-    return pick, gpml

@@ -17,7 +17,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import SortedSample, TailInferenceError, sort_sample
+from .core import SortedSample, TailInferenceError, read_sample_file
 from . import dist
 from .asymptotics import parametric_bootstrap, sigma2_kvar_mc
 from .estimators import gp_ml_fit, excesses_over_threshold, paired_k
@@ -71,6 +71,16 @@ class ExperimentConfig:
             for m in self.m_grid:
                 if not 3 <= m <= self.n:
                     raise ValueError(f"block size {m} outside [3, n={self.n}]")
+        if self.experiment == "BiasBurr":
+            if self.family != "Burr":
+                raise ValueError("BiasBurr requires family = Burr")
+            if len(self.params) < 2:
+                raise ValueError("BiasBurr params must be gamma,rho1[,rho2,...]")
+        if self.experiment == "VarianceTable":
+            if self.family != "GP":
+                raise ValueError("VarianceTable requires family = GP")
+            if not self.params:
+                raise ValueError("VarianceTable params must list the gamma grid")
 
     def effective_threads(self) -> int:
         return self.threads if self.threads > 0 else (os.cpu_count() or 1)
@@ -234,10 +244,6 @@ def _aggregate(
     return mean, failures, bias, var, mse
 
 
-def _resolve_spec(config: ExperimentConfig) -> dist.DistributionSpec:
-    return dist.make_spec(config.family, config.params)
-
-
 def _pickands_and_gpml(
     sample: SortedSample, m_grid: Sequence[int]
 ) -> List[Tuple[int, int, str, float, int]]:
@@ -267,33 +273,50 @@ def _pickands_and_gpml(
     return rows
 
 
-def _mse_rep_worker(args):
-    spec, n, m_grid, seed, r = args
-    sample = dist.sample(spec, n, dist.RngStream(seed, r))
+def _rep_rows(
+    config: ExperimentConfig, label: str, n: int, rep: int, cells, extra: str
+) -> List[ResultRow]:
+    """Per-replication rows from the (m, k, estimator, gamma_hat, failed) cells
+    of :func:`_pickands_and_gpml`; bias, variance and mse stay NaN."""
+    nan = float("nan")
+    return [
+        ResultRow(
+            config.experiment, label, n, m, k, str(rep), est_name,
+            gamma_hat, failed, nan, nan, nan, extra,
+        )
+        for m, k, est_name, gamma_hat, failed in cells
+    ]
+
+
+def _paired_rep_worker(args):
+    spec, n, m_grid, seed, path, r = args
+    sample = dist.sample(spec, n, dist.RngStream(seed, r, path))
     return _pickands_and_gpml(sample, m_grid)
 
 
-def run_mse_sweep(config: ExperimentConfig, per_rep: bool = False) -> List[ResultRow]:
-    """Bias/variance/MSE of both estimators over the block-size grid.
+def _paired_sweep(
+    config: ExperimentConfig,
+    spec: dist.DistributionSpec,
+    path: Tuple[int, ...],
+    extra: str,
+    per_rep: bool,
+) -> List[ResultRow]:
+    """Both estimators over the m grid on ``config.reps`` samples from ``spec``.
 
-    One sample per replication, reused across every m in the grid.
+    Replication r draws from stream (master_seed, r, *path) and reuses its
+    sample across the whole grid.  Per-replication rows, when asked for,
+    come first, then one aggregate row per (m, estimator).
     """
-    spec = _resolve_spec(config)
-    args = [(spec, config.n, config.m_grid, config.master_seed, r) for r in range(config.reps)]
-    per_rep_rows = _map_reps(_mse_rep_worker, args, config.effective_threads())
-
+    args = [
+        (spec, config.n, config.m_grid, config.master_seed, path, r)
+        for r in range(config.reps)
+    ]
+    per_rep_rows = _map_reps(_paired_rep_worker, args, config.effective_threads())
     rows: List[ResultRow] = []
     if per_rep:
         for r, cells in enumerate(per_rep_rows):
-            for m, k, est_name, gamma_hat, failed in cells:
-                rows.append(
-                    ResultRow(
-                        config.experiment, spec.label, config.n, m, k, str(r),
-                        est_name, gamma_hat, failed,
-                        float("nan"), float("nan"), float("nan"), "",
-                    )
-                )
-    for mi, m in enumerate(config.m_grid):
+            rows.extend(_rep_rows(config, spec.label, config.n, r, cells, extra))
+    for m in config.m_grid:
         k = paired_k(config.n, m)
         for est_name in ("ExtremePickands", "GpMl"):
             ests = [
@@ -306,61 +329,25 @@ def run_mse_sweep(config: ExperimentConfig, per_rep: bool = False) -> List[Resul
             rows.append(
                 ResultRow(
                     config.experiment, spec.label, config.n, m, k, "agg",
-                    est_name, mean, failures, bias, var, mse, "",
+                    est_name, mean, failures, bias, var, mse, extra,
                 )
             )
     return rows
 
 
-def _bias_rep_worker(args):
-    spec, n, m_grid, seed, rho_idx, r = args
-    sample = dist.sample(spec, n, dist.RngStream(seed, r, (rho_idx,)))
-    return _pickands_and_gpml(sample, m_grid)
+def run_mse_sweep(config: ExperimentConfig, per_rep: bool = False) -> List[ResultRow]:
+    """Bias/variance/MSE of both estimators over the block-size grid."""
+    spec = dist.make_spec(config.family, config.params)
+    return _paired_sweep(config, spec, (), "", per_rep)
 
 
 def run_bias_burr(config: ExperimentConfig, per_rep: bool = False) -> List[ResultRow]:
     """Burr bias sweep: gamma fixed, rho varied; params = gamma,rho1,...,rhoK."""
-    if config.family != "Burr":
-        raise ValueError("BiasBurr requires family = Burr")
-    if len(config.params) < 2:
-        raise ValueError("BiasBurr params must be gamma,rho1[,rho2,...]")
     gamma = config.params[0]
-    rhos = config.params[1:]
     rows: List[ResultRow] = []
-    for rho_idx, rho in enumerate(rhos):
+    for rho_idx, rho in enumerate(config.params[1:]):
         spec = dist.burr_from_gamma_rho(gamma, rho)
-        args = [
-            (spec, config.n, config.m_grid, config.master_seed, rho_idx, r)
-            for r in range(config.reps)
-        ]
-        per_rep_rows = _map_reps(_bias_rep_worker, args, config.effective_threads())
-        extra = f"rho={rho:g}"
-        if per_rep:
-            for r, cells in enumerate(per_rep_rows):
-                for m, k, est_name, gamma_hat, failed in cells:
-                    rows.append(
-                        ResultRow(
-                            config.experiment, spec.label, config.n, m, k, str(r),
-                            est_name, gamma_hat, failed,
-                            float("nan"), float("nan"), float("nan"), extra,
-                        )
-                    )
-        for m in config.m_grid:
-            k = paired_k(config.n, m)
-            for est_name in ("ExtremePickands", "GpMl"):
-                ests = [
-                    cell[3]
-                    for cells in per_rep_rows
-                    for cell in cells
-                    if cell[0] == m and cell[2] == est_name
-                ]
-                mean, failures, bias, var, mse = _aggregate(ests, spec.true_gamma)
-                rows.append(
-                    ResultRow(
-                        config.experiment, spec.label, config.n, m, k, "agg",
-                        est_name, mean, failures, bias, var, mse, extra,
-                    )
-                )
+        rows.extend(_paired_sweep(config, spec, (rho_idx,), f"rho={rho:g}", per_rep))
     return rows
 
 
@@ -370,10 +357,6 @@ def run_variance_table(config: ExperimentConfig) -> List[ResultRow]:
     The extra column carries sigma2, its stderr, and the normalized GP ML
     comparison value (1+gamma)^2/3.
     """
-    if config.family != "GP":
-        raise ValueError("VarianceTable requires family = GP")
-    if not config.params:
-        raise ValueError("VarianceTable params must list the gamma grid")
     m = config.m_grid[0]
     rows: List[ResultRow] = []
     for gi, gamma in enumerate(config.params):
@@ -398,24 +381,14 @@ def run_variance_table(config: ExperimentConfig) -> List[ResultRow]:
     return rows
 
 
-def _load_sample_file(path: str) -> SortedSample:
-    values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                values.append(float(line))
-    return sort_sample(values)
-
-
 def run_trajectory(config: ExperimentConfig) -> List[ResultRow]:
     """Single-sample trajectories of both estimators over the m grid."""
     if config.family.startswith("file:"):
-        sample = _load_sample_file(config.family[len("file:"):])
+        sample = read_sample_file(config.family[len("file:"):])
         label = config.family
         true_gamma = None
     else:
-        spec = _resolve_spec(config)
+        spec = dist.make_spec(config.family, config.params)
         sample = dist.sample(spec, config.n, dist.RngStream(config.master_seed, 0))
         label = spec.label
         true_gamma = spec.true_gamma
@@ -423,16 +396,8 @@ def run_trajectory(config: ExperimentConfig) -> List[ResultRow]:
     m_grid = [m for m in config.m_grid if 3 <= m <= n]
     if not m_grid:
         raise ValueError("m_grid has no entries in [3, n]")
-    rows: List[ResultRow] = []
     extra = "" if true_gamma is None else f"true_gamma={true_gamma:g}"
-    for m, k, est_name, gamma_hat, failed in _pickands_and_gpml(sample, m_grid):
-        rows.append(
-            ResultRow(
-                config.experiment, label, n, m, k, "0", est_name,
-                gamma_hat, failed, float("nan"), float("nan"), float("nan"), extra,
-            )
-        )
-    return rows
+    return _rep_rows(config, label, n, 0, _pickands_and_gpml(sample, m_grid), extra)
 
 
 def _coverage_rep_worker(args):
@@ -452,7 +417,7 @@ def _coverage_rep_worker(args):
 
 def run_bootstrap_coverage(config: ExperimentConfig, per_rep: bool = False) -> List[ResultRow]:
     """Nominal-vs-realized CI coverage of the parametric bootstrap."""
-    spec = _resolve_spec(config)
+    spec = dist.make_spec(config.family, config.params)
     if spec.true_gamma is None:
         raise ValueError("BootstrapCoverage needs a distribution with known gamma")
     boot_reps, level = BOOT_REPS_DEFAULT, BOOT_LEVEL_DEFAULT

@@ -196,23 +196,18 @@ def _check_strictly_decreasing(v: np.ndarray, upto: int) -> None:
 def log_spacing_sums(values: np.ndarray, j_hi: int) -> np.ndarray:
     """s_j = sum_{i=1}^{j-1} ln(X_(i) - X_(j)) for j = 2..j_hi, X_(i) the i-th largest.
 
-    Returned array is indexed by j-2.  Inner sums use numpy's pairwise
-    reduction; a zero spacing anywhere in range raises DegenerateSpacing.
+    Returned array is indexed by j-2; a zero spacing anywhere in range raises
+    DegenerateSpacing.  Each s_j is accumulated sequentially in ascending i
+    (one row of spacings at a time), not by a pairwise reduction; the
+    committed result CSVs depend on this summation order to the last bit.
     """
     v = np.asarray(values, dtype=float)
     if not 2 <= j_hi <= v.size:
         raise BlockSizeOutOfRange(f"need 2 <= j_hi <= n, got {j_hi}")
     _check_strictly_decreasing(v, j_hi)
-    s = np.empty(j_hi - 1)
-    block = 512
-    for a in range(2, j_hi + 1, block):
-        b = min(a + block - 1, j_hi)
-        cols = np.arange(a, b + 1)
-        diff = v[: b - 1, None] - v[None, cols - 1]
-        mask = np.arange(b - 1)[:, None] < (cols - 1)[None, :]
-        logs = np.zeros_like(diff)
-        np.log(diff, out=logs, where=mask)
-        s[a - 2 : b - 1] = logs.sum(axis=0)
+    s = np.zeros(j_hi - 1)
+    for i in range(j_hi - 1):
+        s[i:] += np.log(v[i] - v[i + 1 : j_hi])
     return s
 
 

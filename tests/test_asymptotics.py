@@ -8,7 +8,6 @@ from scipy.special import gamma as gamma_fn
 from xustat import dist
 from xustat.asymptotics import (
     bias_bk_mc,
-    bootstrap_ci,
     digamma_moments,
     erlang_neg_rho_moment,
     h_gamma_rho,
@@ -207,20 +206,21 @@ class TestSigma2Routes:
 class TestBootstrap:
     def test_deterministic_under_fixed_seed(self):
         s = dist.sample(dist.gp(0.5), 300, _stream(12))
-        a = bootstrap_ci(s, 10, 200, 0.95, _stream(13))
-        b = bootstrap_ci(s, 10, 200, 0.95, _stream(13))
+        a = parametric_bootstrap(s, 10, 200, 0.95, _stream(13))
+        b = parametric_bootstrap(s, 10, 200, 0.95, _stream(13))
         assert (a.gamma_hat, a.ci_low, a.ci_high) == (b.gamma_hat, b.ci_low, b.ci_high)
 
     def test_nested_levels(self):
         s = dist.sample(dist.gp(0.5), 300, _stream(14))
-        narrow = bootstrap_ci(s, 10, 300, 0.5, _stream(15))
-        wide = bootstrap_ci(s, 10, 300, 0.95, _stream(15))
+        narrow = parametric_bootstrap(s, 10, 300, 0.5, _stream(15))
+        wide = parametric_bootstrap(s, 10, 300, 0.95, _stream(15))
         assert wide.ci_low < narrow.ci_low < narrow.ci_high < wide.ci_high
 
     def test_record_fields(self):
         s = dist.sample(dist.gp(0.2), 200, _stream(16))
-        rec = bootstrap_ci(s, 8, 200, 0.9, _stream(17))
-        assert rec.estimator == "ExtremePickands"
+        rec = parametric_bootstrap(s, 8, 200, 0.9, _stream(17))
+        assert (rec.level, rec.boot_reps) == (0.9, 200)
+        assert 0 <= rec.dropped < rec.boot_reps
         assert rec.ci_low <= rec.gamma_hat <= rec.ci_high
         assert rec.stderr > 0
 

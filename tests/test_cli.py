@@ -1,7 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import xustat
 from xustat.cli import main
 
 
@@ -209,6 +213,31 @@ class TestSimulate:
         code, _, _ = run_cli(capsys, "simulate", "--config", str(cfg))
         assert code == 2
 
+    def test_experiment_family_mismatch_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            CONFIG.format(out=tmp_path / "o.csv").replace("MseSweep", "BiasBurr")
+        )
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 1
+        assert "error: bad config: BiasBurr requires family = Burr" in err
+
+    @pytest.mark.parametrize(
+        "content", [None, "1.5\n2.5\nnot-a-number\n"], ids=["missing", "bad-line"]
+    )
+    def test_unreadable_trajectory_sample_is_data_error(self, capsys, tmp_path, content):
+        sample = tmp_path / "sample.txt"
+        if content is not None:
+            sample.write_text(content)
+        cfg = tmp_path / "traj.cfg"
+        cfg.write_text(
+            f"experiment = Trajectory\nfamily = file:{sample}\nn = 0\n"
+            f"m_grid = 3\nseed = 1\nout = {tmp_path / 'o.csv'}\n"
+        )
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+        assert "cannot read sample file" in err
+
 
 class TestVarianceTableCmd:
     def test_smoke(self, capsys):
@@ -260,3 +289,14 @@ class TestTopLevel:
         out = capsys.readouterr().out
         for flag in ("--input", "--m", "--bootstrap", "--level", "--seed", "--truncation"):
             assert flag in out
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(xustat.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, xustat.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    ).stdout
+    assert out.strip() == "False"

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from xustat.core import (
     ArgumentOutOfRange,
     DegenerateSpacing,
-    EstimateRecord,
-    Evi,
     NonFiniteInput,
     PICKANDS_KERNEL,
     TooFewObservations,
@@ -154,18 +152,3 @@ class TestDomainTypes:
         assert PICKANDS_KERNEL.q == 3
         v = PICKANDS_KERNEL.eval(np.array([4.0, 3.0, 1.0]))
         assert v == pytest.approx(math.log(1 / 6))
-
-    def test_evi_finite(self):
-        assert Evi(0.5).gamma == 0.5
-        with pytest.raises(NonFiniteInput):
-            Evi(float("inf"))
-
-    def test_estimate_record_validation(self):
-        r = EstimateRecord("ExtremePickands", 10, 0.4, ci_low=0.3, ci_high=0.5)
-        assert r.ci_low < r.gamma_hat < r.ci_high
-        with pytest.raises(ArgumentOutOfRange):
-            EstimateRecord("Hill", 10, 0.4)
-        with pytest.raises(ArgumentOutOfRange):
-            EstimateRecord("GpMl", 10, 0.9, ci_low=0.3, ci_high=0.5)
-        with pytest.raises(ArgumentOutOfRange):
-            EstimateRecord("GpMl", 10, 0.4, stderr=-1.0)

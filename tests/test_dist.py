@@ -176,17 +176,49 @@ class TestSampling:
             assert abs(float(np.mean(slopes)) - spec.true_gamma) <= 0.05
 
 
+def _gp_order_stat_check(gamma, m, q, reps, rng):
+    """Two-sample diagnostic for the GP top-q order statistic representation.
+
+    Compares, margin by margin, directly sampled top-q order statistics of a
+    GP(gamma) m-sample against T + (1 + gamma*T) * Z_{q-i:q-1}, where T is
+    the q-th largest order statistic (drawn through its Beta(m-q+1, q)
+    uniform representation) and the Z's are q-1 fresh GP(gamma) draws with
+    Z_{0:q-1} = 0.  Returns the largest of the q two-sample
+    Kolmogorov-Smirnov distances.
+    """
+    if q < 1 or m < q:
+        raise ArgumentOutOfRange("need 1 <= q <= m")
+    if reps < 2:
+        raise ArgumentOutOfRange("need at least 2 replications")
+    g = rng.generator()
+    direct = np.sort(
+        dist.h_gamma(gamma, 1.0 / (1.0 - g.random((reps, m)))), axis=1
+    )[:, m - q:]
+    b = g.beta(m - q + 1, q, size=reps)
+    t = dist.h_gamma(gamma, 1.0 / (1.0 - b))
+    if q > 1:
+        z = np.sort(dist.h_gamma(gamma, 1.0 / (1.0 - g.random((reps, q - 1)))), axis=1)
+        z = np.concatenate([np.zeros((reps, 1)), z], axis=1)
+    else:
+        z = np.zeros((reps, 1))
+    represented = t[:, None] + (1.0 + gamma * t[:, None]) * z
+    return max(
+        float(scipy.stats.ks_2samp(direct[:, i], represented[:, i]).statistic)
+        for i in range(q)
+    )
+
+
 class TestOrderStatRepresentation:
     @pytest.mark.parametrize("gamma,m", [(0.0, 20), (0.5, 50), (-0.5, 20)])
     def test_topq_representation(self, gamma, m):
         # 99.9% two-sample KS band at 20000 vs 20000 is ~0.0195
-        d = dist.gp_order_stat_check(gamma, m, 3, 20_000, _stream(21))
+        d = _gp_order_stat_check(gamma, m, 3, 20_000, _stream(21))
         assert d < 0.02
 
     def test_degenerate_case(self):
-        d = dist.gp_order_stat_check(0.3, 1, 1, 20_000, _stream(22))
+        d = _gp_order_stat_check(0.3, 1, 1, 20_000, _stream(22))
         assert d < 0.02  # both sides are single GP draws
 
     def test_guards(self):
         with pytest.raises(ArgumentOutOfRange):
-            dist.gp_order_stat_check(0.0, 2, 3, 100, _stream())
+            _gp_order_stat_check(0.0, 2, 3, 100, _stream())

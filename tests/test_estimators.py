@@ -12,14 +12,9 @@ from xustat.core import (
     pickands_kernel,
     sort_sample,
 )
-from xustat.estimators import (
-    excesses_over_threshold,
-    gp_ml_fit,
-    paired_comparison,
-    paired_k,
-    pickands_trajectory,
-)
-from xustat.ustat import pickands_ustat
+from xustat.estimators import excesses_over_threshold, gp_ml_fit, paired_k
+from xustat.harness import _pickands_and_gpml
+from xustat.ustat import pickands_ustat, pickands_ustat_grid
 
 
 def _midpoint_grid(gamma, k):
@@ -135,30 +130,26 @@ class TestGpMlFit:
 class TestTrajectory:
     def test_single_m_equals_kernel_of_top3(self):
         s = sort_sample([9.0, 5.5, 2.0, 1.0, 0.5])
-        rec = pickands_trajectory(s, [5])[0]
-        assert rec.estimator == "ExtremePickands"
-        assert rec.m_or_k == 5
-        assert rec.gamma_hat == pytest.approx(pickands_kernel(9.0, 5.5, 2.0))
+        assert pickands_ustat_grid(s, [5]) == {
+            5: pytest.approx(pickands_kernel(9.0, 5.5, 2.0))
+        }
 
     def test_matches_pointwise_estimates(self):
         s = dist.sample(dist.student_t(4), 500, dist.RngStream(5, 0))
         grid = list(range(3, 60, 7))
-        recs = pickands_trajectory(s, grid)
-        for rec in recs:
-            assert rec.gamma_hat == pytest.approx(
-                pickands_ustat(s, rec.m_or_k), rel=1e-12, abs=1e-12
-            )
+        for m, gamma_hat in pickands_ustat_grid(s, grid).items():
+            assert gamma_hat == pytest.approx(pickands_ustat(s, m), rel=1e-12, abs=1e-12)
 
     def test_smoke_student_t4_all_finite(self):
         s = dist.sample(dist.student_t(4), 2000, dist.RngStream(6, 0))
-        recs = pickands_trajectory(s, list(range(3, 203, 4)))
-        assert len(recs) == 50
-        assert all(math.isfinite(r.gamma_hat) for r in recs)
+        estimates = pickands_ustat_grid(s, list(range(3, 203, 4)))
+        assert len(estimates) == 50
+        assert all(math.isfinite(g) for g in estimates.values())
 
     def test_block_size_guard(self):
         s = sort_sample([3.0, 2.0, 1.0])
         with pytest.raises(BlockSizeOutOfRange):
-            pickands_trajectory(s, [2])
+            pickands_ustat_grid(s, [2])
 
 
 class TestPairedComparison:
@@ -169,19 +160,20 @@ class TestPairedComparison:
 
     def test_records(self):
         s = dist.sample(dist.gp(0.5), 400, dist.RngStream(8, 0))
-        pick, gpml = paired_comparison(s, 12)
-        assert pick.estimator == "ExtremePickands" and pick.m_or_k == 12
-        assert gpml.estimator == "GpMl" and gpml.m_or_k == 100
-        assert math.isfinite(pick.gamma_hat) and math.isfinite(gpml.gamma_hat)
+        pick, gpml = _pickands_and_gpml(s, [12])
+        assert pick[:3] == (12, 100, "ExtremePickands")
+        assert gpml[:3] == (12, 100, "GpMl")
+        assert pick[4] == gpml[4] == 0
+        assert math.isfinite(pick[3]) and math.isfinite(gpml[3])
 
     def test_small_k_guard(self):
         s = dist.sample(dist.gp(0.5), 100, dist.RngStream(9, 0))
-        with pytest.raises(ThresholdOutOfRange):
-            paired_comparison(s, 99)
+        _, gpml = _pickands_and_gpml(s, [99])  # k = 3 < 5 excesses
+        assert gpml[2] == "GpMl" and gpml[4] == 1 and math.isnan(gpml[3])
 
     def test_location_scale_invariance_end_to_end(self):
         s = dist.sample(dist.gp(0.2), 300, dist.RngStream(10, 0))
-        pick, _ = paired_comparison(s, 10)
+        pick, _ = _pickands_and_gpml(s, [10])
         moved = sort_sample(100.0 * s.values - 50.0)
-        pick2, _ = paired_comparison(moved, 10)
-        assert pick2.gamma_hat == pytest.approx(pick.gamma_hat, abs=1e-9)
+        pick2, _ = _pickands_and_gpml(moved, [10])
+        assert pick2[3] == pytest.approx(pick[3], abs=1e-9)

@@ -1,4 +1,6 @@
 import math
+import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,8 +40,6 @@ def _config(tmp_path, threads=1, **overrides):
     text = CONFIG_TEXT.format(out=tmp_path / "out.csv", threads=threads)
     config = parse_config(text)
     if overrides:
-        from dataclasses import replace
-
         config = replace(config, **overrides)
     return config
 
@@ -74,6 +74,22 @@ class TestConfigParsing:
                 reps=1, m_grid=(3,), master_seed=1, out="x.csv", threads=1,
             )
 
+    @pytest.mark.parametrize(
+        "experiment,family,params,match",
+        [
+            ("BiasBurr", "GP", (0.5, -1.0), "family = Burr"),
+            ("BiasBurr", "Burr", (0.5,), "gamma,rho1"),
+            ("VarianceTable", "Burr", (0.5,), "family = GP"),
+            ("VarianceTable", "GP", (), "gamma grid"),
+        ],
+    )
+    def test_experiment_specific_checks(self, experiment, family, params, match):
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig(
+                experiment=experiment, family=family, params=params, n=100,
+                reps=1, m_grid=(10,), master_seed=1, out="x.csv", threads=1,
+            )
+
     def test_load_config_from_file(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text(CONFIG_TEXT.format(out=tmp_path / "o.csv", threads=2))
@@ -81,8 +97,6 @@ class TestConfigParsing:
         assert config.experiment == "MseSweep" and config.threads == 2
 
     def test_shipped_configs_parse(self):
-        import pathlib
-
         root = pathlib.Path(__file__).resolve().parent.parent / "configs"
         paths = sorted(root.glob("*.cfg")) + sorted(root.glob("full_scale/*.cfg"))
         assert len(paths) == 9
@@ -143,8 +157,6 @@ class TestMseSweep:
     def test_deterministic_across_thread_counts(self, tmp_path):
         config1 = _config(tmp_path, threads=1)
         config2 = _config(tmp_path, threads=2)
-        from dataclasses import replace
-
         config1 = replace(config1, out=str(tmp_path / "a.csv"))
         config2 = replace(config2, out=str(tmp_path / "b.csv"))
         run_to_csv(config1)
@@ -249,3 +261,16 @@ class TestFailureAccounting:
         config = _config(tmp_path, n=60, reps=4, m_grid=(3,))
         rows = run_mse_sweep(config)
         assert all(r.failed == 0 for r in rows)
+
+
+class TestCommittedResults:
+    @pytest.mark.parametrize("name", ["trajectory_student_t4", "mse_gp05"])
+    def test_desk_config_regenerates_committed_csv(self, tmp_path, name):
+        # the committed CSVs pin the kernel's summation order and the sweep
+        # runner's row layout to the last bit
+        root = pathlib.Path(__file__).resolve().parent.parent
+        config = load_config(str(root / "configs" / f"{name}.cfg"))
+        config = replace(config, out=str(tmp_path / f"{name}.csv"), threads=2)
+        run_to_csv(config)
+        committed = (root / "results" / f"{name}.csv").read_bytes()
+        assert (tmp_path / f"{name}.csv").read_bytes() == committed
