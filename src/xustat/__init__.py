@@ -23,7 +23,7 @@ from .core import (
     pickands_kernel,
     sort_sample,
 )
-from .dist import DistributionSpec, RngStream, gp_quantile, h_gamma, sample
+from .dist import DistributionSpec, RngStream, h_gamma, sample
 from .ustat import (
     OverlapPmf,
     PickandsWeights,

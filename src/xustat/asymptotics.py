@@ -187,7 +187,7 @@ def _gp_resample_estimates(
         stop = min(start + chunk, reps)
         u = g.random((stop - start, n))
         z = np.sort(h_gamma(gamma, 1.0 / (1.0 - u)), axis=1)[:, ::-1]
-        est[start:stop] = pickands_ustat_batch(np.ascontiguousarray(z), m)
+        est[start:stop] = pickands_ustat_batch(z, m)
     return est
 
 

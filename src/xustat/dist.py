@@ -28,9 +28,9 @@ class RngStream:
     """Counter-based random stream keyed by (master_seed, stream_id).
 
     Identical keys reproduce identical draw sequences; distinct stream ids
-    give statistically independent streams.  Substreams extend the spawn
-    path, so nested Monte Carlo loops stay reproducible regardless of
-    scheduling.
+    give statistically independent streams.  A non-empty ``path`` extends
+    the spawn key, so nested Monte Carlo loops stay reproducible regardless
+    of scheduling.
     """
 
     master_seed: int
@@ -42,9 +42,6 @@ class RngStream:
             entropy=self.master_seed, spawn_key=(self.stream_id, *self.path)
         )
         return np.random.Generator(np.random.Philox(seq))
-
-    def substream(self, *ids: int) -> "RngStream":
-        return RngStream(self.master_seed, self.stream_id, self.path + tuple(ids))
 
 
 @dataclass(frozen=True)
@@ -138,14 +135,6 @@ def h_gamma(gamma: float, y):
     else:
         out = np.expm1(gamma * ly) / gamma
     return float(out) if out.ndim == 0 else out
-
-
-def gp_quantile(gamma: float, u):
-    """Quantile of GP(gamma), the inverse of z -> 1 - (1 + gamma*z)^(-1/gamma)."""
-    u = np.asarray(u, dtype=float)
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
-        raise ArgumentOutOfRange("u must lie strictly inside (0, 1)")
-    return h_gamma(gamma, 1.0 / (1.0 - u))
 
 
 def quantile(spec: DistributionSpec, u):

@@ -12,34 +12,16 @@ import csv
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import SortedSample, TailInferenceError, read_sample_file
+from .core import BlockSizeOutOfRange, SortedSample, TailInferenceError, read_sample_file
 from . import dist
 from .asymptotics import parametric_bootstrap, sigma2_kvar_mc
 from .estimators import gp_ml_fit, excesses_over_threshold, paired_k
 from .ustat import pickands_ustat_grid
-
-CSV_COLUMNS = (
-    "experiment",
-    "dist",
-    "n",
-    "m",
-    "k",
-    "rep",
-    "estimator",
-    "gamma_hat",
-    "failed",
-    "bias",
-    "variance",
-    "mse",
-    "extra",
-)
-
-EXPERIMENTS = ("MseSweep", "BiasBurr", "VarianceTable", "Trajectory", "BootstrapCoverage")
 
 CONFIG_KEYS = ("experiment", "family", "params", "n", "reps", "m_grid", "seed", "out", "threads")
 
@@ -61,7 +43,7 @@ class ExperimentConfig:
     threads: int  # 0 means auto
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in _RUNNERS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
@@ -103,6 +85,9 @@ class ResultRow:
     extra: str
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         value = float(value)
@@ -113,28 +98,22 @@ def _fmt(value) -> str:
 
 
 def write_csv(rows: Sequence[ResultRow], path: str) -> None:
-    """Header plus one line per row; LF endings, UTF-8, NaN spelled "NaN"."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.experiment,
-                    r.dist,
-                    r.n,
-                    r.m,
-                    r.k,
-                    r.rep,
-                    r.estimator,
-                    _fmt(r.gamma_hat),
-                    r.failed,
-                    _fmt(r.bias),
-                    _fmt(r.variance),
-                    _fmt(r.mse),
-                    r.extra,
-                ]
-            )
+    """Header plus one line per row; LF endings, UTF-8, NaN spelled "NaN".
+
+    Written to a temporary file beside ``path`` and renamed onto it, so an
+    interrupted write leaves any earlier file intact.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(CSV_COLUMNS)
+            for r in rows:
+                writer.writerow([_fmt(x) for x in astuple(r)])
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def parse_m_grid(text: str) -> Tuple[int, ...]:
@@ -395,7 +374,7 @@ def run_trajectory(config: ExperimentConfig) -> List[ResultRow]:
     n = sample.n
     m_grid = [m for m in config.m_grid if 3 <= m <= n]
     if not m_grid:
-        raise ValueError("m_grid has no entries in [3, n]")
+        raise BlockSizeOutOfRange(f"m_grid has no entries in [3, n={n}]")
     extra = "" if true_gamma is None else f"true_gamma={true_gamma:g}"
     return _rep_rows(config, label, n, 0, _pickands_and_gpml(sample, m_grid), extra)
 
@@ -458,18 +437,18 @@ def run_bootstrap_coverage(config: ExperimentConfig, per_rep: bool = False) -> L
     return rows
 
 
+# experiment name -> runner(config, per_rep)
+_RUNNERS = {
+    "MseSweep": run_mse_sweep,
+    "BiasBurr": run_bias_burr,
+    "VarianceTable": lambda config, per_rep: run_variance_table(config),
+    "Trajectory": lambda config, per_rep: run_trajectory(config),
+    "BootstrapCoverage": run_bootstrap_coverage,
+}
+
+
 def run_experiment(config: ExperimentConfig, per_rep: bool = False) -> List[ResultRow]:
-    if config.experiment == "MseSweep":
-        return run_mse_sweep(config, per_rep)
-    if config.experiment == "BiasBurr":
-        return run_bias_burr(config, per_rep)
-    if config.experiment == "VarianceTable":
-        return run_variance_table(config)
-    if config.experiment == "Trajectory":
-        return run_trajectory(config)
-    if config.experiment == "BootstrapCoverage":
-        return run_bootstrap_coverage(config, per_rep)
-    raise ValueError(f"unknown experiment {config.experiment!r}")
+    return _RUNNERS[config.experiment](config, per_rep)
 
 
 def run_to_csv(config: ExperimentConfig, per_rep: bool = False) -> str:

@@ -1,18 +1,18 @@
 """U-statistic evaluation engines.
 
-Four routes to the same quantity:
+Three routes to the same quantity:
 
 * :func:`brute_force_ustat` enumerates every size-m subset (the oracle),
 * :func:`topq_weighted_ustat` sums kernel values over rank tuples weighted by
   the number of subsets whose top q lands on those ranks,
-* :func:`pickands_ustat` evaluates the explicit order-statistic formula for
-  the Pickands kernel with recursively computed log-space weights,
-* :func:`pickands_ustat_batch` is the same formula vectorized over many
-  samples at once.
+* the Pickands evaluators (single, truncated, grid and batch) evaluate the
+  explicit formula U = sum_j w_j s_j.  All take s_j from one O(n^2) kernel,
+  :func:`_spacing_sums`, apply one tie rule, :func:`_decreasing_prefix`, and
+  reduce with the exactly rounded ``math.fsum(w * s)``, so a batch row
+  equals the single-sample value bit for bit.
 
-The estimator weights carry their binomial ratios in log space through a
-recursive update, so block sizes up to n = 10^4 and beyond evaluate without
-overflow.
+The weights w_j carry their binomial ratios in log space through a
+recursive update, so n = 10^4 and beyond evaluate without overflow.
 """
 
 from __future__ import annotations
@@ -183,32 +183,54 @@ def topq_weighted_ustat(
     return math.fsum(terms)
 
 
-def _check_strictly_decreasing(v: np.ndarray, upto: int) -> None:
-    """Spacings among the first ``upto`` order statistics must be positive."""
-    d = np.diff(v[:upto])
-    if d.size and np.max(d) >= 0.0:
-        i = int(np.argmax(d >= 0.0))
+def _decreasing_prefix(v: np.ndarray, j_hi: int) -> np.ndarray:
+    """Per row of ``v``, how many leading entries (at most j_hi) strictly decrease.
+
+    A zero, NaN or infinite spacing ends the prefix: its log is not finite.
+    """
+    d = np.diff(v[:, :j_hi], axis=1)
+    bad = ~((d < 0.0) & (d > -np.inf))
+    return np.where(bad.any(axis=1), bad.argmax(axis=1) + 1, j_hi)
+
+
+def _require_decreasing(v: np.ndarray, j_hi: int) -> None:
+    k = int(_decreasing_prefix(v[None], j_hi)[0])
+    if k < j_hi:
         raise DegenerateSpacing(
-            f"tie among order statistics {i + 1} and {i + 2} (1 = largest)"
+            f"tie among order statistics {k} and {k + 1} (1 = largest)"
         )
+
+
+def _spacing_sums(v: np.ndarray, j_hi: int) -> np.ndarray:
+    """Row-wise s[r, j-2] = sum_{i=1}^{j-1} ln(v[r, i-1] - v[r, j-1]), j = 2..j_hi.
+
+    Rank-major on one transposed copy: step i adds the logs of the spacings
+    below the i-th largest value to s_{i+1..j_hi} of every row, so each s_j
+    is summed sequentially in ascending i, which the committed result CSVs
+    depend on to the last bit.  Rows must strictly decrease up to j_hi.
+    """
+    vt = np.ascontiguousarray(v[:, :j_hi].T)
+    s = np.zeros((j_hi - 1, v.shape[0]))
+    buf = np.empty_like(s)
+    for i in range(j_hi - 1):
+        t = buf[: j_hi - 1 - i]
+        np.subtract(vt[i], vt[i + 1 :], out=t)
+        np.log(t, out=t)
+        s[i:] += t
+    return s.T
 
 
 def log_spacing_sums(values: np.ndarray, j_hi: int) -> np.ndarray:
     """s_j = sum_{i=1}^{j-1} ln(X_(i) - X_(j)) for j = 2..j_hi, X_(i) the i-th largest.
 
-    Returned array is indexed by j-2; a zero spacing anywhere in range raises
-    DegenerateSpacing.  Each s_j is accumulated sequentially in ascending i
-    (one row of spacings at a time), not by a pairwise reduction; the
-    committed result CSVs depend on this summation order to the last bit.
+    Returned array is indexed by j-2; a tie (:func:`_decreasing_prefix`)
+    anywhere in range raises DegenerateSpacing.  Summed as in :func:`_spacing_sums`.
     """
     v = np.asarray(values, dtype=float)
     if not 2 <= j_hi <= v.size:
         raise BlockSizeOutOfRange(f"need 2 <= j_hi <= n, got {j_hi}")
-    _check_strictly_decreasing(v, j_hi)
-    s = np.zeros(j_hi - 1)
-    for i in range(j_hi - 1):
-        s[i:] += np.log(v[i] - v[i + 1 : j_hi])
-    return s
+    _require_decreasing(v, j_hi)
+    return _spacing_sums(v[None], j_hi)[0]
 
 
 def pickands_ustat(
@@ -220,12 +242,10 @@ def pickands_ustat(
     dropped once their conservative tail bound falls below ``truncation``
     times the accumulated magnitude (see :func:`pickands_ustat_truncated`).
     """
-    if truncation is None:
-        n = sample.n
-        weights = pickands_weights(n, m)
-        s = log_spacing_sums(sample.values, n - m + 3)
-        return float(math.fsum(weights.w * s))
-    return pickands_ustat_truncated(sample, m, truncation).value
+    if truncation is not None:
+        return pickands_ustat_truncated(sample, m, truncation).value
+    s = log_spacing_sums(sample.values, sample.n - m + 3)
+    return math.fsum(pickands_weights(sample.n, m).w * s)
 
 
 @dataclass(frozen=True)
@@ -253,8 +273,8 @@ def pickands_ustat_truncated(
     n = sample.n
     weights = pickands_weights(n, m)
     j_hi = n - m + 3
-    _check_strictly_decreasing(sample.values, j_hi)
     v = sample.values
+    _require_decreasing(v, j_hi)
     adj = -np.diff(v[:j_hi])
     spread = v[0] - v[j_hi - 1]
     log_bound = max(abs(math.log(adj.min())), abs(math.log(spread)), 1e-300)
@@ -267,9 +287,8 @@ def pickands_ustat_truncated(
     bound = float(tail[n_used]) if n_used < weights.w.size else 0.0
 
     s = log_spacing_sums(v, int(weights.j[n_used - 1]))
-    value = float(math.fsum(weights.w[:n_used] * s[: int(weights.j[n_used - 1]) - 1]))
     return TruncatedEstimate(
-        value=value,
+        value=math.fsum(weights.w[:n_used] * s),
         error_bound=bound,
         terms_used=n_used,
         terms_total=int(weights.w.size),
@@ -288,11 +307,8 @@ def pickands_ustat_grid(sample: SortedSample, m_grid: Sequence[int]) -> Dict[int
     for m in ms:
         if not 3 <= m <= n:
             raise BlockSizeOutOfRange(f"block size {m} outside [3, {n}]")
-    j_need = n - min(ms) + 3
     v = sample.values
-    d = np.diff(v[:j_need])
-    tie = np.nonzero(d >= 0.0)[0]
-    j_ok = j_need if tie.size == 0 else int(tie[0]) + 1
+    j_ok = int(_decreasing_prefix(v[None], n - min(ms) + 3)[0])
     s = log_spacing_sums(v, j_ok) if j_ok >= 2 else np.empty(0)
     out = {}
     for m in ms:
@@ -301,15 +317,16 @@ def pickands_ustat_grid(sample: SortedSample, m_grid: Sequence[int]) -> Dict[int
             out[m] = float("nan")
         else:
             w = pickands_weights(n, m).w
-            out[m] = float(math.fsum(w * s[: j_hi - 1]))
+            out[m] = math.fsum(w * s[: j_hi - 1])
     return out
 
 
 def pickands_ustat_batch(values: np.ndarray, m: int) -> np.ndarray:
     """Row-wise Pickands estimates for a matrix of descending-sorted samples.
 
-    Rows containing a tie within the touched index range yield NaN instead
-    of raising, so large Monte Carlo sweeps can account for failures.
+    Each row equals :func:`pickands_ustat` on that sample bit for bit.  Rows
+    with a tie within the touched index range yield NaN instead of raising,
+    so large Monte Carlo sweeps can account for failures.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 2:
@@ -318,14 +335,10 @@ def pickands_ustat_batch(values: np.ndarray, m: int) -> np.ndarray:
     if not 3 <= m <= n:
         raise BlockSizeOutOfRange(f"need 3 <= m <= n, got m={m}, n={n}")
     j_hi = n - m + 3
-    ok = np.all(np.diff(v[:, :j_hi], axis=1) < 0.0, axis=1)
+    ok = _decreasing_prefix(v, j_hi) == j_hi
     out = np.full(nrep, np.nan)
-    if not ok.any():
-        return out
-    w = pickands_weights(n, m).w
-    vv = v[ok]
-    acc = np.zeros(vv.shape[0])
-    for j in range(2, j_hi + 1):
-        acc += w[j - 2] * np.log(vv[:, : j - 1] - vv[:, j - 1 : j]).sum(axis=1)
-    out[ok] = acc
+    if ok.any():
+        w = pickands_weights(n, m).w
+        s = _spacing_sums(v if ok.all() else v[ok], j_hi)
+        out[ok] = [math.fsum(w * row) for row in s]
     return out

@@ -238,6 +238,18 @@ class TestSimulate:
         assert code == 2
         assert "cannot read sample file" in err
 
+    def test_trajectory_sample_shorter_than_every_m_is_data_error(self, capsys, tmp_path):
+        sample = tmp_path / "sample.txt"
+        sample.write_text("5\n4\n3\n2\n1\n")
+        cfg = tmp_path / "traj.cfg"
+        cfg.write_text(
+            f"experiment = Trajectory\nfamily = file:{sample}\nn = 0\n"
+            f"m_grid = 10\nseed = 1\nout = {tmp_path / 'o.csv'}\n"
+        )
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+        assert "error: BlockSizeOutOfRange: m_grid has no entries" in err
+
 
 class TestVarianceTableCmd:
     def test_smoke(self, capsys):

@@ -1,4 +1,5 @@
 import math
+import os
 import pathlib
 from dataclasses import replace
 
@@ -15,10 +16,12 @@ from xustat.harness import (
     parse_m_grid,
     rescale_to_full,
     run_bias_burr,
+    run_experiment,
     run_mse_sweep,
     run_to_csv,
     run_trajectory,
     run_variance_table,
+    write_csv,
     _pickands_and_gpml,
 )
 
@@ -34,6 +37,11 @@ seed = 42
 out = {out}
 threads = {threads}
 """
+
+
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("write interrupted")
 
 
 def _config(tmp_path, threads=1, **overrides):
@@ -175,6 +183,17 @@ class TestMseSweep:
         per_rep = run_to_csv(config, per_rep=True)
         text = open(per_rep, "r", encoding="utf-8").read()
         assert "NaN" in text and "nan" not in text.replace("NaN", "")
+
+    def test_interrupted_write_keeps_earlier_file(self, tmp_path):
+        config = _config(tmp_path)
+        path = run_to_csv(config)
+        before = open(path, "rb").read()
+        rows = run_experiment(replace(config, master_seed=43))
+        broken = replace(rows[-1], extra=_Unprintable())
+        with pytest.raises(RuntimeError, match="interrupted"):
+            write_csv(rows + [broken], path)  # fails after the good rows
+        assert open(path, "rb").read() == before
+        assert os.listdir(tmp_path) == ["out.csv"]
 
 
 class TestBiasBurr:
