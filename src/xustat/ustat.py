@@ -6,10 +6,20 @@ Three routes to the same quantity:
 * :func:`topq_weighted_ustat` sums kernel values over rank tuples weighted by
   the number of subsets whose top q lands on those ranks,
 * the Pickands evaluators (single, truncated, grid and batch) evaluate the
-  explicit formula U = sum_j w_j s_j.  All take s_j from one O(n^2) kernel,
-  :func:`_spacing_sums`, apply one tie rule, :func:`_decreasing_prefix`, and
-  reduce with the exactly rounded ``math.fsum(w * s)``, so a batch row
-  equals the single-sample value bit for bit.
+  explicit formula U = sum_j w_j s_j.  All take s_j from one O(n^2) kernel
+  over cache-sized row blocks, :func:`_spacing_sums`, apply one tie rule,
+  :func:`_decreasing_prefix`, and reduce with the exactly rounded
+  ``math.fsum(w * s)``; a single sample is a batch of one row, so the two
+  agree bit for bit.
+
+Exact weight cut-off (single and batch; the grid shares one full sweep across
+its m).  With L a row's largest |ln spacing| (:func:`_log_bound`), |s_j| <=
+(j-1) L, so the terms past the first K sum to at most 2 L sum_{j>K+1} |w_j|
+(j-1), the 2 covering the rounding of s_j and w_j s_j.  K is the fewest terms
+whose bound is below ``_CUT_TARGET`` = 2^-66; their s_j equal the full-length
+kernel's bit for bit.  A row keeps r = fsum(kept) when |sum(kept) - r| plus
+its bound is below half the gap from r to its neighbouring doubles, which
+proves r the rounding of the full sum; other rows are summed over all terms.
 
 The weights w_j carry their binomial ratios in log space through a
 recursive update, so n = 10^4 and beyond evaluate without overflow.
@@ -35,6 +45,8 @@ from .core import (
 )
 
 _BRUTE_FORCE_MAX_N = 20
+_BLOCK_BUDGET = 2**16  # float64 elements per array in one row block of the kernel
+_CUT_TARGET = 2.0**-66  # absolute bound on the dropped weight tail (module docstring)
 
 
 @dataclass(frozen=True)
@@ -196,28 +208,47 @@ def _decreasing_prefix(v: np.ndarray, j_hi: int) -> np.ndarray:
 def _require_decreasing(v: np.ndarray, j_hi: int) -> None:
     k = int(_decreasing_prefix(v[None], j_hi)[0])
     if k < j_hi:
-        raise DegenerateSpacing(
-            f"tie among order statistics {k} and {k + 1} (1 = largest)"
-        )
+        hi, lo = float(v[k - 1]), float(v[k])
+        finite = math.isfinite(hi) and math.isfinite(lo)
+        what = "overflowing spacing between" if finite and lo - hi == -math.inf else "tie among"
+        raise DegenerateSpacing(f"{what} order statistics {k} and {k + 1} (1 = largest)")
+
+
+def _log_bound(v: np.ndarray, j_hi: int) -> np.ndarray:
+    """Per row, L = max |ln(v[i] - v[j])| over 0 <= i < j < j_hi.
+
+    Each such spacing lies between the smallest adjacent one and
+    v[0] - v[j_hi - 1].  Rows must strictly decrease up to j_hi.
+    """
+    head = v[:, :j_hi]
+    ends = (np.min(head[:, :-1] - head[:, 1:], axis=1), head[:, 0] - head[:, -1])
+    return np.abs(np.log(ends)).max(axis=0)
 
 
 def _spacing_sums(v: np.ndarray, j_hi: int) -> np.ndarray:
     """Row-wise s[r, j-2] = sum_{i=1}^{j-1} ln(v[r, i-1] - v[r, j-1]), j = 2..j_hi.
 
-    Rank-major on one transposed copy: step i adds the logs of the spacings
-    below the i-th largest value to s_{i+1..j_hi} of every row, so each s_j
-    is summed sequentially in ascending i, which the committed result CSVs
-    depend on to the last bit.  Rows must strictly decrease up to j_hi.
+    Rank-major on a transposed copy of each block of ``_BLOCK_BUDGET // j_hi``
+    rows (its copy, accumulator and scratch buffer fit a 2 MiB L2 cache):
+    step i adds the logs of the spacings below the i-th largest value to
+    s_{i+1..j_hi} of every row, so each s_j is summed sequentially in
+    ascending i, whatever the block size, row count or j_hi.  The committed
+    result CSVs depend on that order to the last bit.  Rows must strictly
+    decrease up to j_hi.
     """
-    vt = np.ascontiguousarray(v[:, :j_hi].T)
-    s = np.zeros((j_hi - 1, v.shape[0]))
-    buf = np.empty_like(s)
-    for i in range(j_hi - 1):
-        t = buf[: j_hi - 1 - i]
-        np.subtract(vt[i], vt[i + 1 :], out=t)
-        np.log(t, out=t)
-        s[i:] += t
-    return s.T
+    out = np.empty((v.shape[0], j_hi - 1))
+    step = max(1, _BLOCK_BUDGET // j_hi)
+    for r0 in range(0, v.shape[0], step):
+        vt = np.ascontiguousarray(v[r0 : r0 + step, :j_hi].T)
+        s = np.zeros((j_hi - 1, vt.shape[1]))
+        buf = np.empty_like(s)
+        for i in range(j_hi - 1):
+            t = buf[: j_hi - 1 - i]
+            np.subtract(vt[i], vt[i + 1 :], out=t)
+            np.log(t, out=t)
+            s[i:] += t
+        out[r0 : r0 + step] = s.T
+    return out
 
 
 def log_spacing_sums(values: np.ndarray, j_hi: int) -> np.ndarray:
@@ -244,8 +275,8 @@ def pickands_ustat(
     """
     if truncation is not None:
         return pickands_ustat_truncated(sample, m, truncation).value
-    s = log_spacing_sums(sample.values, sample.n - m + 3)
-    return math.fsum(pickands_weights(sample.n, m).w * s)
+    _require_decreasing(sample.values, sample.n - m + 3)
+    return float(pickands_ustat_batch(sample.values[None], m)[0])
 
 
 @dataclass(frozen=True)
@@ -261,12 +292,10 @@ class TruncatedEstimate:
 def pickands_ustat_truncated(
     sample: SortedSample, m: int, truncation: float
 ) -> TruncatedEstimate:
-    """Drop trailing j-terms whose tail bound is negligible.
+    """Drop trailing j-terms whose tail bound L * sum_{j>J} |w_j| (j-1) is negligible.
 
-    |s_j| <= (j-1) * L with L a bound on |ln(spacing)| from the extreme
-    spacings, so the discarded tail is bounded by L * sum_{j>J} |w_j| (j-1).
-    J is the first index where that bound drops below ``truncation`` times
-    the same magnitude proxy accumulated over the kept head.
+    J is the first index where that bound (L from :func:`_log_bound`) drops
+    below ``truncation`` times the same magnitude proxy over the kept head.
     """
     if truncation <= 0:
         raise BlockSizeOutOfRange("truncation tolerance must be positive")
@@ -275,11 +304,7 @@ def pickands_ustat_truncated(
     j_hi = n - m + 3
     v = sample.values
     _require_decreasing(v, j_hi)
-    adj = -np.diff(v[:j_hi])
-    spread = v[0] - v[j_hi - 1]
-    log_bound = max(abs(math.log(adj.min())), abs(math.log(spread)), 1e-300)
-
-    mag = np.abs(weights.w) * (weights.j - 1) * log_bound
+    mag = np.abs(weights.w) * (weights.j - 1) * _log_bound(v[None], j_hi)[0]
     tail = np.cumsum(mag[::-1])[::-1]
     head = np.cumsum(mag)
     keep = tail[1:] > truncation * head[:-1]  # keep[idx]: term idx+1 still needed
@@ -324,9 +349,10 @@ def pickands_ustat_grid(sample: SortedSample, m_grid: Sequence[int]) -> Dict[int
 def pickands_ustat_batch(values: np.ndarray, m: int) -> np.ndarray:
     """Row-wise Pickands estimates for a matrix of descending-sorted samples.
 
-    Each row equals :func:`pickands_ustat` on that sample bit for bit.  Rows
-    with a tie within the touched index range yield NaN instead of raising,
-    so large Monte Carlo sweeps can account for failures.
+    Each row equals :func:`pickands_ustat` on that sample bit for bit: the
+    exactly rounded sum of all w_j s_j, from only the terms that can move it
+    (module docstring).  Rows with a tie within the touched index range yield
+    NaN instead of raising, so large Monte Carlo sweeps can count failures.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 2:
@@ -337,8 +363,28 @@ def pickands_ustat_batch(values: np.ndarray, m: int) -> np.ndarray:
     j_hi = n - m + 3
     ok = _decreasing_prefix(v, j_hi) == j_hi
     out = np.full(nrep, np.nan)
-    if ok.any():
-        w = pickands_weights(n, m).w
-        s = _spacing_sums(v if ok.all() else v[ok], j_hi)
-        out[ok] = [math.fsum(w * row) for row in s]
+    if not ok.any():
+        return out
+    v = v if ok.all() else v[ok]
+    w = pickands_weights(n, m).w
+    # tail[k] * L bounds the terms from index k on, rounding included
+    tail = 2.0 * np.cumsum((np.abs(w) * np.arange(1, w.size + 1))[::-1])[::-1]
+    bound = _log_bound(v, j_hi)
+    k = int(np.count_nonzero(tail >= _CUT_TARGET / bound.max()))
+    est, redo = [], []
+    for r, row in enumerate(_spacing_sums(v, k + 1)):
+        kept = (w[:k] * row).tolist()
+        est.append(math.fsum(kept))
+        if k < w.size and not _rounds_full_sum(est[r], kept, bound[r] * tail[k]):
+            redo.append(r)
+    for r, row in zip(redo, _spacing_sums(v[redo], j_hi)):
+        est[r] = math.fsum(w * row)
+    out[ok] = est
     return out
+
+
+def _rounds_full_sum(r: float, kept: list, tail: float) -> bool:
+    """Whether r = fsum(kept) is also the rounding of sum(kept) + x, |x| <= tail."""
+    d = math.fsum(kept + [-r])  # |sum(kept) - r| <= |d| (1 + 2^-52)
+    gap = min(math.nextafter(r, math.inf) - r, r - math.nextafter(r, -math.inf))
+    return abs(d) * (1.0 + 2.0**-50) + tail < 0.5 * gap

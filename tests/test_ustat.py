@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xustat import dist
+from xustat import dist, ustat
 from xustat.core import (
     BlockSizeOutOfRange,
     DegenerateSpacing,
@@ -16,6 +16,7 @@ from xustat.core import (
     sort_sample,
 )
 from xustat.ustat import (
+    _spacing_sums,
     brute_force_ustat,
     log_spacing_sums,
     overlap_pmf,
@@ -204,6 +205,12 @@ class TestPickandsUstat:
         with pytest.raises(DegenerateSpacing):
             pickands_ustat(sort_sample([5, 5, 3, 1]), 3)
 
+    def test_overflowing_spacing_is_not_called_a_tie(self):
+        s = sort_sample([1.7e308, -1.7e308, -1.75e308, -1.79e308])
+        msg = "overflowing spacing between order statistics 1 and 2"
+        with pytest.raises(DegenerateSpacing, match=msg):
+            pickands_ustat(s, 3)
+
     def test_tie_outside_touched_range_is_fine(self):
         # with m = n only j in {2, 3} is touched; a tie below stays invisible
         s = sort_sample([9.0, 5.0, 2.0, 1.0, 1.0])
@@ -238,6 +245,54 @@ class TestPickandsUstat:
         batch = pickands_ustat_batch(mat, 5)
         assert math.isfinite(batch[0]) and math.isfinite(batch[2])
         assert math.isnan(batch[1]) and math.isnan(batch[3])
+
+
+def _full_sums(mat, m):
+    """math.fsum(w * s) over every term, each row summed on its own."""
+    n = mat.shape[1]
+    w = pickands_weights(n, m).w
+    s = _spacing_sums(mat, n - m + 3)
+    return [math.fsum(w * row) for row in s]
+
+
+class TestWeightCutoff:
+    FAMILIES = [dist.gp(g) for g in (-0.5, 0.0, 0.5, 2.0)] + [
+        dist.student_t(1.0),
+        dist.burr(1.0, 2.0),
+    ]
+
+    @pytest.mark.parametrize("m", [20, 40, 100, 200])
+    @pytest.mark.parametrize("family", range(len(FAMILIES)))
+    def test_cut_sum_equals_full_sum(self, family, m):
+        x = dist.sample(self.FAMILIES[family], 1000, dist.RngStream(21, family)).values
+        mat = np.stack([x, x + 1e6, x * 1e150, x * 1e-150])
+        full = _full_sums(mat, m)
+        assert all(math.isfinite(u) for u in full)
+        assert list(pickands_ustat_batch(mat, m)) == full
+        assert [pickands_ustat(sort_sample(row), m) for row in mat] == full
+
+    def test_fallback_gives_full_sum(self, monkeypatch):
+        x = dist.sample(dist.gp(0.5), 600, dist.RngStream(22, 0)).values
+        mat = np.stack([x, x + 1e6, x * 1e150])
+        passed = []
+        rounds_full_sum = ustat._rounds_full_sum
+
+        def spy(*args):
+            passed.append(rounds_full_sum(*args))
+            return passed[-1]
+
+        monkeypatch.setattr(ustat, "_CUT_TARGET", 1.0)
+        monkeypatch.setattr(ustat, "_rounds_full_sum", spy)
+        assert list(pickands_ustat_batch(mat, 40)) == _full_sums(mat, 40)
+        assert passed == [False] * 3
+
+    def test_row_blocks_match_single_rows(self):
+        # 700 columns make blocks of 93 rows, so 200 rows take three blocks
+        rng = np.random.default_rng(23)
+        mat = np.sort(rng.standard_cauchy((200, 700)), axis=1)[:, ::-1]
+        block = _spacing_sums(mat, 700)
+        for row, got in zip(mat, block):
+            assert np.array_equal(_spacing_sums(row[None], 700)[0], got)
 
 
 class TestTruncation:
