@@ -62,7 +62,7 @@ class SortedSample:
             raise TooFewObservations(f"need at least 3 observations, got {v.size}")
         if not np.all(np.isfinite(v)):
             raise NonFiniteInput("sample contains NaN or infinite values")
-        if np.any(np.diff(v) > 0):
+        if np.any(v[1:] > v[:-1]):
             raise ArgumentOutOfRange("values must be sorted in descending order")
         v = v.copy()
         v.setflags(write=False)

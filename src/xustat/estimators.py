@@ -22,6 +22,12 @@ from .core import (
 )
 
 _PROFILE_GRID = 400
+# first-pass stride of the pruned scan, and the relative margin by which a
+# pruned grid value's bound clears the best evaluated one
+_SCAN_STEP = 16
+_SCAN_MARGIN = 1e-9
+# gamma_hat = -1 + _EDGE_STEP when the fit reports the gamma -> -1 edge
+_EDGE_STEP = 1e-12
 _GOLDEN_TOL = 1e-12
 _GOLDEN_CAP = 200
 
@@ -90,14 +96,72 @@ def _profile_score(theta: float, x: np.ndarray) -> float:
     return dgam * (1.0 / gam + 1.0) - 1.0 / theta
 
 
+def _profile_columns(grid, x, idx) -> Tuple[np.ndarray, np.ndarray]:
+    """f(theta) and gamma(theta) at grid[idx], +inf where f is infeasible.
+
+    Two or more columns are summed row by row, bit for bit as in a scan of
+    the whole grid; numpy sums a single column pairwise, so a lone column is
+    evaluated next to a neighbour.
+    """
+    cols = idx if idx.size != 1 else np.append(idx, idx[0] - 1 if idx[0] else 1)
+    theta = grid[cols]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g = np.log1p(theta[None, :] * x[:, None]).mean(axis=0)
+        f = np.log(g / theta) + g
+    f[(g <= -1.0) | (g == 0.0) | ~np.isfinite(f)] = np.inf
+    return f[: idx.size], g[: idx.size]
+
+
+def _profile_scan(x: np.ndarray, xmax: float, xbar: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The increasing theta grid and the profile objective f on it, +inf
+    where f is infeasible or provably above its grid minimum.
+
+    A first pass evaluates every _SCAN_STEP-th index and the last.  gamma is
+    increasing and concave in theta and r = gamma/theta decreasing, so at a
+    feasible theta strictly between evaluated indices a < b, gamma(theta) >=
+    c(theta) = max(chord from a to b, gamma(a), -1) and f(theta) >= max(ln
+    r(b), ln(c/theta) where theta, c > 0) + c; every theta < b is infeasible
+    when gamma(b) <= -1.  The second pass evaluates each point whose bound is
+    not above the best by the margin, so every pruned value exceeds the grid
+    minimum and argmin, ties included, is the full scan's.
+    """
+    half, lo, mid, hi = _PROFILE_GRID // 2, (1.0 - 1e-9) / xmax, 1e-8 / xbar, 1e7 / xmax
+    grid = np.concatenate([-np.geomspace(lo, mid, half), np.geomspace(mid, hi, half)])
+    f, gams = np.full(grid.size, np.inf), np.full(grid.size, np.nan)
+    first = np.append(np.arange(0, grid.size - 1, _SCAN_STEP), grid.size - 1)
+    f[first], gams[first] = _profile_columns(grid, x, first)
+    best = float(f.min())
+
+    pos = np.searchsorted(first, np.arange(grid.size), side="right") - 1
+    a, b = first[pos], first[np.minimum(pos + 1, first.size - 1)]
+    ga, gb = gams[a], gams[b]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        chord = ga + (gb - ga) * (grid - grid[a]) / (grid[b] - grid[a])
+        c = np.maximum(chord, np.maximum(ga, -1.0))
+        lr = np.log(gb / grid[b])
+        lr = np.where((grid > 0.0) & (c > 0.0), np.maximum(lr, np.log(c / grid)), lr)
+        bound = np.where(gb <= -1.0, np.inf, lr + c)
+    pruned = bound > best + _SCAN_MARGIN * (1.0 + abs(best))
+    rest = np.flatnonzero(np.isnan(gams) & ~pruned)
+    f[rest], gams[rest] = _profile_columns(grid, x, rest)
+    return grid, f
+
+
 def gp_ml_fit(excesses: Sequence[float]) -> GpMlFit:
     """Fit GP(gamma, sigma) to nonnegative excesses by profile likelihood.
 
-    Scans ~400 log-spaced values of theta = gamma/sigma on the feasible
-    interval (-1/max(x), inf), refines the best bracket by a score root
-    (golden section when the score does not change sign), and compares
-    against the exponential (theta -> 0) boundary model.  Non-convergence
-    is reported through the flag, not an exception.
+    Scans a grid of 400 log-spaced values of theta = gamma/sigma on the
+    feasible interval (-1/max(x), inf), evaluating only the points that a
+    concavity bound cannot rule out (:func:`_profile_scan`; the argmin is the
+    full scan's), refines the best bracket by a score root (golden section
+    when the score does not change sign), and compares against two boundary
+    models: the exponential (theta -> 0), and the gamma -> -1 edge, whose
+    log-likelihood tends to -k ln(max x) as sigma -> max x.  The profile
+    cannot reach that edge, so where it is higher the fit returns the point
+    gamma = -1 + 1e-12, sigma = -gamma max(x) (1 + 1e-12), with the
+    log-likelihood at that point and ``converged=False``: the constrained
+    supremum is not attained.  Otherwise ``converged=False`` means that the
+    bracket refinement did not converge or that no grid point was feasible.
     """
     x = np.asarray(excesses, dtype=float)
     if x.size < 5:
@@ -108,19 +172,7 @@ def gp_ml_fit(excesses: Sequence[float]) -> GpMlFit:
     if xmax <= 0.0 or x.min() == xmax:
         raise DegenerateSpacing("excesses have zero spread; no interior maximizer")
     xbar = float(x.mean())
-
-    half = _PROFILE_GRID // 2
-    theta_lo = -(1.0 - 1e-9) / xmax
-    grid = np.concatenate(
-        [
-            -np.geomspace(-theta_lo, 1e-8 / xbar, half),
-            np.geomspace(1e-8 / xbar, 1e7 / xmax, half),
-        ]
-    )
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        gams = np.log1p(grid[None, :] * x[:, None]).mean(axis=0)
-        f = np.log(gams / grid) + gams
-    f[(gams <= -1.0) | (gams == 0.0) | ~np.isfinite(f)] = np.inf
+    grid, f = _profile_scan(x, xmax, xbar)
 
     k = x.size
     if not np.isfinite(f).any():
@@ -134,6 +186,12 @@ def gp_ml_fit(excesses: Sequence[float]) -> GpMlFit:
     theta, converged, iters = _refine_bracket(a, b, x)
     f_star, gam = _profile_objective(theta, x)
     f_exp, _ = _profile_objective(0.0, x)
+    if math.log(xmax) - 1.0 < min(f_star, f_exp):
+        # the gamma -> -1 edge beats both: step just inside it, sigma just above -gamma * xmax
+        gam = -1.0 + _EDGE_STEP
+        sigma = -gam * xmax * (1.0 + _EDGE_STEP)
+        loglik = -k * math.log(sigma) - (1.0 + 1.0 / gam) * float(np.log1p(gam * x / sigma).sum())
+        return GpMlFit(gam, sigma, loglik, False, iters)
     if f_exp <= f_star:
         return GpMlFit(0.0, xbar, -k * (f_exp + 1.0), converged, iters)
     return GpMlFit(gam, gam / theta, -k * (f_star + 1.0), converged, iters)

@@ -200,7 +200,8 @@ def _decreasing_prefix(v: np.ndarray, j_hi: int) -> np.ndarray:
 
     A zero, NaN or infinite spacing ends the prefix: its log is not finite.
     """
-    d = np.diff(v[:, :j_hi], axis=1)
+    with np.errstate(over="ignore"):
+        d = np.diff(v[:, :j_hi], axis=1)
     bad = ~((d < 0.0) & (d > -np.inf))
     return np.where(bad.any(axis=1), bad.argmax(axis=1) + 1, j_hi)
 

@@ -12,7 +12,13 @@ from xustat.core import (
     pickands_kernel,
     sort_sample,
 )
-from xustat.estimators import excesses_over_threshold, gp_ml_fit, paired_k
+from xustat.estimators import (
+    _profile_columns,
+    _profile_scan,
+    excesses_over_threshold,
+    gp_ml_fit,
+    paired_k,
+)
 from xustat.harness import _pickands_and_gpml
 from xustat.ustat import pickands_ustat, pickands_ustat_grid
 
@@ -125,6 +131,66 @@ class TestGpMlFit:
         # 3 sigma band for the variance of a sample variance
         band = 3.0 * target * math.sqrt(2.0 / (reps - 1)) * 1.5
         assert abs(kvar - target) <= band
+
+
+def _gp_loglik(x, gamma, sigma):
+    z = 1.0 + gamma * x / sigma
+    return -x.size * math.log(sigma) - (1.0 + 1.0 / gamma) * float(np.log(z).sum())
+
+
+class TestEdgeModel:
+    @pytest.mark.parametrize("seed", [12, 13, 16, 23, 30])
+    def test_excesses_over_student_t4_minimum_reach_the_edge(self, seed):
+        # the n - 1 excesses over the minimum of a Student-t(4) sample: the
+        # profile optimum is pinned at gamma(theta) = -1, and the supremum
+        # inside gamma > -1 is the edge's -k ln(max x)
+        s = dist.sample(dist.student_t(4), 10_000, dist.RngStream(seed, 2))
+        x = excesses_over_threshold(s, 9999)
+        fit = gp_ml_fit(x)
+        assert fit.gamma_hat > -1.0
+        assert not fit.converged
+        assert fit.loglik == pytest.approx(-x.size * math.log(float(x.max())), rel=1e-9)
+        assert fit.loglik == pytest.approx(_gp_loglik(x, fit.gamma_hat, fit.sigma_hat), rel=1e-12)
+
+
+def _full_profile(grid, x):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = np.log1p(grid[None, :] * x[:, None]).mean(axis=0)
+        full = np.log(g / grid) + g
+    full[(g <= -1.0) | (g == 0.0) | ~np.isfinite(full)] = np.inf
+    return full
+
+
+class TestProfileScan:
+    FAMILIES = [dist.gp(g) for g in (-0.8, -0.3, 0.0, 0.5, 2.0)] + [
+        dist.student_t(1),
+        dist.student_t(4),
+        dist.burr_from_gamma_rho(0.5, -1.0),
+    ]
+
+    @pytest.mark.parametrize("n", [2000, 10_000])
+    def test_pruned_scan_has_the_full_scan_argmin(self, n):
+        for f_i, spec in enumerate(self.FAMILIES):
+            s = dist.sample(spec, n, dist.RngStream(41, f_i))
+            for m in (3, 4, 10, 50, 200):
+                x = excesses_over_threshold(s, paired_k(n, m))
+                grid, f = _profile_scan(x, float(x.max()), float(x.mean()))
+                full = _full_profile(grid, x)
+                assert np.argmin(f) == np.argmin(full)
+                seen = np.isfinite(f)
+                # evaluated columns equal the full scan's bit for bit, and
+                # every pruned point lies above the grid minimum
+                assert np.array_equal(f[seen], full[seen])
+                assert np.all(full[~seen] > full.min())
+
+    def test_lone_column_matches_full_scan(self):
+        s = dist.sample(dist.student_t(4), 10_000, dist.RngStream(41, 9))
+        x = excesses_over_threshold(s, 300)
+        grid, _ = _profile_scan(x, float(x.max()), float(x.mean()))
+        full = _full_profile(grid, x)
+        for j in range(0, 400, 5):
+            f, _ = _profile_columns(grid, x, np.array([j]))
+            assert f[0] == full[j]
 
 
 class TestTrajectory:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -210,6 +211,13 @@ class TestPickandsUstat:
         msg = "overflowing spacing between order statistics 1 and 2"
         with pytest.raises(DegenerateSpacing, match=msg):
             pickands_ustat(s, 3)
+
+    def test_overflowing_spacing_raises_without_a_numpy_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = sort_sample([1.7e308, -1.7e308, -1.75e308, -1.79e308])
+            with pytest.raises(DegenerateSpacing, match="overflowing spacing"):
+                pickands_ustat(s, 3)
 
     def test_tie_outside_touched_range_is_fine(self):
         # with m = n only j in {2, 3} is touched; a tie below stays invisible
