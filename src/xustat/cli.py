@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from typing import List, Optional
 
 import numpy as np
@@ -295,8 +296,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except TailInferenceError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except (TailInferenceError, MemoryError, BrokenProcessPool) as exc:
+        # the (rows x n) temporaries of a large run, or a worker killed mid-run
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: {type(exc).__name__}{detail}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -125,6 +125,8 @@ def h_gamma(gamma: float, y):
     """Tail quantile function of GP(gamma): (y^gamma - 1)/gamma, ln y at gamma=0.
 
     expm1 keeps the evaluation stable through gamma -> 0; y must be positive.
+    Where y^gamma overflows (gamma ln y above about 709) the result is inf,
+    without a numpy warning; callers count it as a failed draw.
     """
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0.0) or not np.all(np.isfinite(y)):
@@ -133,7 +135,8 @@ def h_gamma(gamma: float, y):
     if gamma == 0.0:
         out = ly
     else:
-        out = np.expm1(gamma * ly) / gamma
+        with np.errstate(over="ignore"):
+            out = np.expm1(gamma * ly) / gamma
     return float(out) if out.ndim == 0 else out
 
 

@@ -7,10 +7,13 @@ Three routes to the same quantity:
   the number of subsets whose top q lands on those ranks,
 * the Pickands evaluators (single, truncated, grid and batch) evaluate the
   explicit formula U = sum_j w_j s_j.  All take s_j from one O(n^2) kernel
-  over cache-sized row blocks, :func:`_spacing_sums`, apply one tie rule,
-  :func:`_decreasing_prefix`, and reduce with the exactly rounded
-  ``math.fsum(w * s)``; a single sample is a batch of one row, so the two
-  agree bit for bit.
+  over cache-sized row blocks, :func:`_spacing_sums`, which multiplies the
+  spacings under exact power-of-two renormalisation and takes one log per
+  s_j, so s_j is within (j-2)u + |s_j|u + 2u (u = 2^-53) of the exact sum
+  of logs and does not depend on the block or on how far the sweep runs.
+  They apply one tie rule, :func:`_decreasing_prefix`, and reduce with the
+  exactly rounded ``math.fsum(w * s)``; a single sample is a batch of one
+  row, so the two agree bit for bit.
 
 Exact weight cut-off (single and batch; the grid shares one full sweep across
 its m).  With L a row's largest |ln spacing| (:func:`_log_bound`), |s_j| <=
@@ -31,7 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import gammaln
@@ -47,6 +50,9 @@ from .core import (
 _BRUTE_FORCE_MAX_N = 20
 _BLOCK_BUDGET = 2**16  # float64 elements per array in one row block of the kernel
 _CUT_TARGET = 2.0**-66  # absolute bound on the dropped weight tail (module docstring)
+_EXPONENT_HEADROOM = 1000  # binary orders a product may drift between renormalisations
+_LN2_HI = 0.6931467056274414  # ln 2 to 20 significant bits
+_LN2_LO = 4.7493250390316726e-07  # ln 2 - _LN2_HI
 
 
 @dataclass(frozen=True)
@@ -199,56 +205,110 @@ def _decreasing_prefix(v: np.ndarray, j_hi: int) -> np.ndarray:
     """Per row of ``v``, how many leading entries (at most j_hi) strictly decrease.
 
     A zero, NaN or infinite spacing ends the prefix: its log is not finite.
+    Entry j's largest spacing is v[0] - v[j], which can overflow while every
+    adjacent spacing is finite (1e308, 0, -1e308), so it is checked as well.
     """
-    with np.errstate(over="ignore"):
-        d = np.diff(v[:, :j_hi], axis=1)
-    bad = ~((d < 0.0) & (d > -np.inf))
+    head = v[:, :j_hi]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN: a tie
+        d = np.diff(head, axis=1)
+        top = head[:, :1] - head[:, 1:]
+    bad = ~((d < 0.0) & (d > -np.inf) & (top < np.inf))
     return np.where(bad.any(axis=1), bad.argmax(axis=1) + 1, j_hi)
 
 
 def _require_decreasing(v: np.ndarray, j_hi: int) -> None:
     k = int(_decreasing_prefix(v[None], j_hi)[0])
     if k < j_hi:
-        hi, lo = float(v[k - 1]), float(v[k])
-        finite = math.isfinite(hi) and math.isfinite(lo)
-        what = "overflowing spacing between" if finite and lo - hi == -math.inf else "tie among"
-        raise DegenerateSpacing(f"{what} order statistics {k} and {k + 1} (1 = largest)")
+        top, hi, lo = float(v[0]), float(v[k - 1]), float(v[k])
+        if math.isfinite(top) and math.isfinite(lo) and top - lo == math.inf:
+            i = k if hi - lo == math.inf else 1
+            raise DegenerateSpacing(
+                f"overflowing spacing between order statistics {i} and {k + 1} (1 = largest)"
+            )
+        raise DegenerateSpacing(f"tie among order statistics {k} and {k + 1} (1 = largest)")
+
+
+def _spacing_ends(v: np.ndarray, j_hi: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per row, the smallest and largest spacing v[i] - v[j], 0 <= i < j < j_hi.
+
+    They are the smallest adjacent spacing and v[0] - v[j_hi - 1].  Rows must
+    strictly decrease up to j_hi with finite spacings.
+    """
+    head = v[:, :j_hi]
+    return np.min(head[:, :-1] - head[:, 1:], axis=1), head[:, 0] - head[:, -1]
 
 
 def _log_bound(v: np.ndarray, j_hi: int) -> np.ndarray:
-    """Per row, L = max |ln(v[i] - v[j])| over 0 <= i < j < j_hi.
+    """Per row, L = max |ln(v[i] - v[j])| over 0 <= i < j < j_hi."""
+    return np.abs(np.log(_spacing_ends(v, j_hi))).max(axis=0)
 
-    Each such spacing lies between the smallest adjacent one and
-    v[0] - v[j_hi - 1].  Rows must strictly decrease up to j_hi.
+
+def _renormalise(p: np.ndarray, e: np.ndarray, scratch: np.ndarray) -> None:
+    """Move the binary exponents of positive normal ``p`` into ``e``, leaving p in [1, 2).
+
+    Works on the bit pattern (an int64 view): subtracting the unbiased
+    exponent from the exponent field changes p by an exact power of two.
     """
-    head = v[:, :j_hi]
-    ends = (np.min(head[:, :-1] - head[:, 1:], axis=1), head[:, 0] - head[:, -1])
-    return np.abs(np.log(ends)).max(axis=0)
+    bits = p.view(np.int64)
+    x = scratch.view(np.int64)
+    np.right_shift(bits, 52, out=x)
+    x -= 1023
+    e += x
+    x <<= 52
+    bits -= x
 
 
 def _spacing_sums(v: np.ndarray, j_hi: int) -> np.ndarray:
     """Row-wise s[r, j-2] = sum_{i=1}^{j-1} ln(v[r, i-1] - v[r, j-1]), j = 2..j_hi.
 
-    Rank-major on a transposed copy of each block of ``_BLOCK_BUDGET // j_hi``
-    rows (its copy, accumulator and scratch buffer fit a 2 MiB L2 cache):
-    step i adds the logs of the spacings below the i-th largest value to
-    s_{i+1..j_hi} of every row, so each s_j is summed sequentially in
-    ascending i, whatever the block size, row count or j_hi.  The committed
-    result CSVs depend on that order to the last bit.  Rows must strictly
-    decrease up to j_hi.
+    One log per s_j, not one per spacing: s_j = ln(p_j) + E_j ln 2, with p_j
+    the product of the j-1 spacings kept in range by exact powers of two.
+
+    * Rank-major on a transposed copy of each block of ``_BLOCK_BUDGET // j_hi``
+      rows (copy, product, exponents and scratch fit a 2 MiB L2 cache), step i
+      multiplies the spacings below the i-th largest value into p_{i+1..j_hi}.
+    * Every r steps :func:`_renormalise` moves the exponents of the open
+      products into the int64 E, leaving p in [1, 2).  The block's spacings
+      lie in [2^(lo-1), 2^hi), lo and hi the binary exponents of its smallest
+      and largest one (:func:`_spacing_ends`), and r is the largest count for
+      which r such factors keep a product from [1, 2) within 2^+-1000, so no
+      product can overflow or become subnormal.  Where no r >= 1 qualifies
+      (spacings beyond about 2^+-1000), ``np.frexp`` splits every
+      factor first: its significand goes into p, its exponent into E.
+
+    Rescaling by a power of two is exact and rounding a product of normal
+    numbers depends only on their significands, so s_j does not depend on r,
+    the split, the block or j_hi.  E ln 2 is E _LN2_HI (exact for |E| < 2^33)
+    plus E _LN2_LO.  A product of k rounded factors carries relative error at
+    most gamma_k = ku/(1 - ku), u = 2^-53 (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 3.1), so |s_j - sum of exact logs| <=
+    (j-2)u + |s_j|u + 2u.  Rows must strictly decrease up to j_hi with
+    finite spacings (:func:`_decreasing_prefix`).
     """
     out = np.empty((v.shape[0], j_hi - 1))
     step = max(1, _BLOCK_BUDGET // j_hi)
     for r0 in range(0, v.shape[0], step):
-        vt = np.ascontiguousarray(v[r0 : r0 + step, :j_hi].T)
-        s = np.zeros((j_hi - 1, vt.shape[1]))
-        buf = np.empty_like(s)
+        head = v[r0 : r0 + step, :j_hi]
+        small, large = _spacing_ends(head, j_hi)
+        lo, hi = int(np.frexp(small)[1].min()), int(np.frexp(large)[1].max())
+        r = _EXPONENT_HEADROOM // max(1, 1 - lo, hi + 1)
+        split = r == 0  # then every factor is reduced to its significand first
+        r = r or _EXPONENT_HEADROOM
+        vt = np.ascontiguousarray(head.T)
+        p = np.ones((j_hi - 1, vt.shape[1]))
+        e = np.zeros(p.shape, dtype=np.int64)
+        buf = np.empty_like(p)
         for i in range(j_hi - 1):
             t = buf[: j_hi - 1 - i]
             np.subtract(vt[i], vt[i + 1 :], out=t)
-            np.log(t, out=t)
-            s[i:] += t
-        out[r0 : r0 + step] = s.T
+            if split:
+                t, x = np.frexp(t)
+                e[i:] += x
+            p[i:] *= t
+            if (i + 1) % r == 0:
+                _renormalise(p[i + 1 :], e[i + 1 :], buf[i + 1 :])
+        _renormalise(p, e, buf)
+        out[r0 : r0 + step] = (e * _LN2_HI + (e * _LN2_LO + np.log(p))).T
     return out
 
 
@@ -256,7 +316,7 @@ def log_spacing_sums(values: np.ndarray, j_hi: int) -> np.ndarray:
     """s_j = sum_{i=1}^{j-1} ln(X_(i) - X_(j)) for j = 2..j_hi, X_(i) the i-th largest.
 
     Returned array is indexed by j-2; a tie (:func:`_decreasing_prefix`)
-    anywhere in range raises DegenerateSpacing.  Summed as in :func:`_spacing_sums`.
+    anywhere in range raises DegenerateSpacing.  Computed by :func:`_spacing_sums`.
     """
     v = np.asarray(values, dtype=float)
     if not 2 <= j_hi <= v.size:

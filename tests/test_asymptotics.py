@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.special import gamma as gamma_fn
 
 from xustat import dist
 from xustat.asymptotics import (
+    _gp_resample_estimates,
     bias_bk_mc,
     digamma_moments,
     erlang_neg_rho_moment,
@@ -201,6 +203,15 @@ class TestSigma2Routes:
             sigma2_integral_mc(0.0, inner_reps=100, rng=_stream())
         with pytest.raises(ArgumentOutOfRange):
             sigma2_kvar_mc(0.0, 100, 5, 10, _stream())
+
+
+class TestGpResample:
+    def test_overflowing_draws_fail_without_a_numpy_warning(self):
+        # y^60 overflows for the largest uniform draws: those samples hold inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            est = _gp_resample_estimates(60.0, 2000, 20, 50, dist.RngStream(1, 0))
+        assert np.isfinite(est).sum() == 48 and np.isnan(est).sum() == 2
 
 
 class TestBootstrap:

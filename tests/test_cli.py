@@ -2,10 +2,12 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 import xustat
+from xustat import harness
 from xustat.cli import main
 
 
@@ -212,6 +214,24 @@ class TestSimulate:
         cfg.write_text(CONFIG.format(out="/proc/xustat-no-such-dir/out.csv"))
         code, _, _ = run_cli(capsys, "simulate", "--config", str(cfg))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "exc, message",
+        [
+            (MemoryError(), "error: MemoryError\n"),
+            (BrokenProcessPool("a worker died"), "error: BrokenProcessPool: a worker died\n"),
+        ],
+    )
+    def test_resource_failure_is_data_error(self, capsys, tmp_path, monkeypatch, exc, message):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(harness, "run_to_csv", fail)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(CONFIG.format(out=tmp_path / "result.csv"))
+        code, stdout, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert (code, stdout) == (2, "")
+        assert err == message
 
     def test_experiment_family_mismatch_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "exp.cfg"

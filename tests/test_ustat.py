@@ -219,6 +219,18 @@ class TestPickandsUstat:
             with pytest.raises(DegenerateSpacing, match="overflowing spacing"):
                 pickands_ustat(s, 3)
 
+    def test_overflowing_largest_spacing_ends_the_prefix(self):
+        # every adjacent spacing is finite, but X_(1) - X_(5) overflows
+        s = sort_sample([1e308, 5e307, 0.0, -5e307, -1e308])
+        msg = "overflowing spacing between order statistics 1 and 5"
+        with pytest.raises(DegenerateSpacing, match=msg):
+            pickands_ustat(s, 3)
+        assert np.isnan(pickands_ustat_batch(s.values[None], 3)[0])
+        grid = pickands_ustat_grid(s, [3, 4, 5])
+        assert math.isnan(grid[3])
+        assert grid[4] == pickands_ustat(s, 4)
+        assert grid[5] == pickands_ustat(s, 5)
+
     def test_tie_outside_touched_range_is_fine(self):
         # with m = n only j in {2, 3} is touched; a tie below stays invisible
         s = sort_sample([9.0, 5.0, 2.0, 1.0, 1.0])
@@ -336,6 +348,72 @@ class TestLogSpacingSums:
         for j in range(2, 41):
             direct = sum(math.log(v[i - 1] - v[j - 1]) for i in range(1, j))
             assert s[j - 2] == pytest.approx(direct, rel=1e-12)
+
+
+class TestSpacingKernel:
+    FAMILIES = TestWeightCutoff.FAMILIES
+
+    def _rows(self, family):
+        x = dist.sample(self.FAMILIES[family], 2000, dist.RngStream(24, family)).values
+        return np.stack([x, x * 1e150, x * 1e-150, x + 1e6])
+
+    @pytest.mark.parametrize("family", range(len(FAMILIES)))
+    def test_within_rounding_bound_of_fsum(self, family):
+        # kernel error (j-2)u + |s_j|u + 2u plus the reference's own
+        # sum_i |ln t_ij| u + |s_j|u (np.log within one ulp), u = 2^-53, is
+        # below C j 2^-52 max(1, L_j) with L_j = max_i |ln t_ij| and C = 2.5
+        c = 2.5
+        mat = self._rows(family)
+        got = _spacing_sums(mat, 2000)
+        for v, s in zip(mat, got):
+            for j in range(2, 2001):
+                logs = np.log(v[: j - 1] - v[j - 1])
+                bound = c * j * 2.0**-52 * max(1.0, float(np.abs(logs).max()))
+                assert abs(s[j - 2] - math.fsum(logs.tolist())) <= bound
+
+    @pytest.mark.parametrize("family", range(len(FAMILIES)))
+    def test_prefix_equals_full_length(self, family):
+        # j_hi moves the block's spacing range and so the renormalisation interval
+        mat = self._rows(family)
+        full = _spacing_sums(mat, 2000)
+        for k in (2, 3, 41, 700, 1999):
+            assert np.array_equal(_spacing_sums(mat, k), full[:, : k - 1])
+
+    def test_spacings_spanning_the_double_range(self):
+        # subnormal spacings next to ones near 2^1023: no renormalisation
+        # interval fits, so the block splits every factor; rows that would fit
+        # one get the same bits in that block as on their own
+        mat = np.array(
+            [
+                [1.7e308, 1e300, 1e-310, 5e-324, 0.0],
+                [8e307, 1e-300, 1e-310, 0.0, -1e-320],
+                [4.0, 3.0, 1.0, 0.0, -1e-9],
+            ]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _spacing_sums(mat, 5)
+        for v, s in zip(mat, got):
+            assert np.array_equal(_spacing_sums(v[None], 5)[0], s)
+            for j in range(2, 6):
+                logs = [math.log(v[i] - v[j - 1]) for i in range(j - 1)]
+                bound = 2.5 * j * 2.0**-52 * max(1.0, max(map(abs, logs)))
+                assert abs(s[j - 2] - math.fsum(logs)) <= bound
+
+
+    def test_row_near_the_overflow_threshold(self):
+        # spacings near 2^1023: s_j up to the last j whose spacings are all
+        # finite, the same bits for every shorter prefix
+        v = np.array([1e308, 5e307, 0.0, -5e307, -1e308])
+        with pytest.raises(DegenerateSpacing, match="order statistics 1 and 5"):
+            log_spacing_sums(v, 5)
+        got = log_spacing_sums(v, 4)
+        for j in range(2, 5):
+            logs = [math.log(v[i] - v[j - 1]) for i in range(j - 1)]
+            bound = 2.5 * j * 2.0**-52 * max(1.0, max(map(abs, logs)))
+            assert abs(got[j - 2] - math.fsum(logs)) <= bound
+        for k in (2, 3):
+            assert np.array_equal(_spacing_sums(v[None], k)[0], got[: k - 1])
 
 
 class TestSmoothing:
