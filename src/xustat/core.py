@@ -154,18 +154,4 @@ def pickands_kernel_vec(y1, y2, y3):
     return pickands_g(t)
 
 
-def pickands_partials(x1, x2, x3):
-    """First-order partial derivatives of the Pickands kernel at (x1, x2, x3).
-
-    K1 = g'(t)/(x1-x2), K3 = g'(t)/(x2-x3), K2 = -K1 - K3, with
-    t = ln((x1-x2)/(x2-x3)).
-    """
-    d12 = np.asarray(x1) - np.asarray(x2)
-    d23 = np.asarray(x2) - np.asarray(x3)
-    gp = pickands_g_prime(np.log(d12) - np.log(d23))
-    k1 = gp / d12
-    k3 = gp / d23
-    return k1, -k1 - k3, k3
-
-
 PICKANDS_KERNEL = TopQKernel(q=3, eval=lambda y: pickands_kernel(y[0], y[1], y[2]))

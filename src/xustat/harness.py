@@ -330,18 +330,26 @@ def run_bias_burr(config: ExperimentConfig, per_rep: bool = False) -> List[Resul
     return rows
 
 
+def _variance_gamma_worker(args):
+    gamma, n, m, reps, seed, gi = args
+    return sigma2_kvar_mc(gamma, n, m, reps, dist.RngStream(seed, gi))
+
+
 def run_variance_table(config: ExperimentConfig) -> List[ResultRow]:
     """k * var of the Pickands estimator per gamma; params = the gamma grid.
 
-    The extra column carries sigma2, its stderr, and the normalized GP ML
-    comparison value (1+gamma)^2/3.
+    Gamma number gi draws from stream (master_seed, gi), so the rows do not
+    depend on ``threads``.  The extra column carries sigma2, its stderr, and
+    the normalized GP ML comparison value (1+gamma)^2/3.
     """
     m = config.m_grid[0]
+    args = [
+        (gamma, config.n, m, config.reps, config.master_seed, gi)
+        for gi, gamma in enumerate(config.params)
+    ]
+    ests = _map_reps(_variance_gamma_worker, args, config.effective_threads())
     rows: List[ResultRow] = []
-    for gi, gamma in enumerate(config.params):
-        est = sigma2_kvar_mc(
-            gamma, config.n, m, config.reps, dist.RngStream(config.master_seed, gi)
-        )
+    for gamma, est in zip(config.params, ests):
         label = dist.gp(gamma).label
         k = config.n // m
         gpml_norm = (1.0 + gamma) ** 2 / 3.0

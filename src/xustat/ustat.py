@@ -11,21 +11,44 @@ Three routes to the same quantity:
   spacings under exact power-of-two renormalisation and takes one log per
   s_j, so s_j is within (j-2)u + |s_j|u + 2u (u = 2^-53) of the exact sum
   of logs and does not depend on the block or on how far the sweep runs.
-  They apply one tie rule, :func:`_decreasing_prefix`, and reduce with the
-  exactly rounded ``math.fsum(w * s)``; a single sample is a batch of one
+  They apply one tie rule, :func:`_decreasing_prefix`, and one reduction,
+  :func:`_exact_sums`, which returns the exactly rounded sum of the w_j s_j,
+  the value ``math.fsum(w * s)`` gives; a single sample is a batch of one
   row, so the two agree bit for bit.
+
+Exact reduction.  :func:`_exact_sums` sums every row of a matrix of terms at
+once, in blocks of ``_BLOCK_BUDGET`` elements, by error-free extraction (Rump,
+Ogita & Oishi, "Accurate floating-point summation part I", SIAM J. Sci.
+Comput. 31(1), 2008).  With J terms per row, c = ceil(log2(J + 2)) and 2^e
+above the row's largest |p|, each of three levels takes sigma = 2^(c + e)
+and splits p into q = (sigma + p) - sigma and p - q.  Both steps are exact;
+every q is a multiple of 2^-53 sigma with J |q| < sigma, so every partial sum
+of a row's q is a double and the level sum T_k is exact in any order, and
+|p - q| <= 2^-53 sigma.  The row sums to T_1 + T_2 + T_3 + R with
+|R| <= 2^c max|p| over what is left.  r = fsum(T_1, T_2, T_3) is kept when
+|T_1 + T_2 + T_3 - r|, plus that bound, plus the caller's ``tail``, is below
+half the gap from r to its neighbouring doubles (:func:`_rounds_to`): then r
+is the rounding of the full sum, which is what ``math.fsum`` returns.  A sum exactly halfway between two doubles
+(``math.fsum`` rounds it to even) or a remainder that could move the
+rounding fails the test; those rows, and rows whose largest |term| is not
+finite or lies outside [2^-960, 2^960] (clear of overflow and of the
+subnormal range the extraction lemma excludes), get ``math.fsum`` of the
+row.  Every path therefore keeps the bits of ``math.fsum``, with one Python
+call per row on three numbers instead of one over the whole row.
 
 Exact weight cut-off (single and batch; the grid shares one full sweep across
 its m).  With L a row's largest |ln spacing| (:func:`_log_bound`), |s_j| <=
 (j-1) L, so the terms past the first K sum to at most 2 L sum_{j>K+1} |w_j|
 (j-1), the 2 covering the rounding of s_j and w_j s_j.  K is the fewest terms
 whose bound is below ``_CUT_TARGET`` = 2^-66; their s_j equal the full-length
-kernel's bit for bit.  A row keeps r = fsum(kept) when |sum(kept) - r| plus
-its bound is below half the gap from r to its neighbouring doubles, which
-proves r the rounding of the full sum; other rows are summed over all terms.
+kernel's bit for bit.  The kept terms are reduced with that bound as their
+``tail``, so a proven row is the rounding of the full sum; other rows are
+summed over all terms.
 
 The weights w_j carry their binomial ratios in log space through a
-recursive update, so n = 10^4 and beyond evaluate without overflow.
+recursive update, so n = 10^4 and beyond evaluate without overflow; the grid
+builds the rows of a block of m at once from one table of logarithms
+(:func:`_weight_rows`).
 """
 
 from __future__ import annotations
@@ -51,6 +74,8 @@ _BRUTE_FORCE_MAX_N = 20
 _BLOCK_BUDGET = 2**16  # float64 elements per array in one row block of the kernel
 _CUT_TARGET = 2.0**-66  # absolute bound on the dropped weight tail (module docstring)
 _EXPONENT_HEADROOM = 1000  # binary orders a product may drift between renormalisations
+_LEVELS = 3  # error-free extraction levels of the reduction (module docstring)
+_SUM_MIN, _SUM_MAX = 2.0**-960, 2.0**960  # range of a row's largest |term| for extraction
 _LN2_HI = 0.6931467056274414  # ln 2 to 20 significant bits
 _LN2_LO = 4.7493250390316726e-07  # ln 2 - _LN2_HI
 
@@ -76,30 +101,43 @@ class PickandsWeights:
 
 
 def pickands_weights(n: int, m: int) -> PickandsWeights:
-    """Weights of the explicit Pickands U-statistic formula.
-
-    The binomial ratio starts at m(m-1)(m-2)/(n(n-1)(n-m+1)) and follows the
-    recursion ratio_j = ratio_{j-1} * (n-j-m+4)/(n-j+1), accumulated as a sum
-    of logs; the sign-carrying block factor is applied separately.
-    """
+    """Weights of the explicit Pickands U-statistic formula: the one-row case
+    of :func:`_weight_rows`."""
     if not 3 <= m <= n:
         raise BlockSizeOutOfRange(f"need 3 <= m <= n, got m={m}, n={n}")
-    js = np.arange(2, n - m + 4)
-    log_ratio = np.empty(js.size)
-    log_ratio[0] = (
-        math.log(m)
-        + math.log(m - 1)
-        + math.log(m - 2)
-        - math.log(n)
-        - math.log(n - 1)
-        - math.log(n - m + 1)
-    )
-    if js.size > 1:
-        j_tail = js[1:]
-        steps = np.log(n - j_tail - m + 4.0) - np.log(n - j_tail + 1.0)
-        log_ratio[1:] = log_ratio[0] + np.cumsum(steps)
-    factor = 2.0 * (n - js + 1) / (m - 2) - js
-    return PickandsWeights(n=n, m=m, j=js, w=np.exp(log_ratio) * factor)
+    return PickandsWeights(n=n, m=m, j=np.arange(2, n - m + 4), w=_weight_rows(n, [m])[0])
+
+
+def _weight_rows(n: int, ms: Sequence[int]) -> np.ndarray:
+    """Row i holds w_j for m = ms[i], j = 2..n-m+3, zero-padded to the longest row.
+
+    The binomial ratio starts at m(m-1)(m-2)/(n(n-1)(n-m+1)) and follows the
+    recursion ratio_j = ratio_{j-1} * (n-j-m+4)/(n-j+1), accumulated as a
+    row-wise cumulative sum of differences of one table of ln k, k = 1..n; the
+    sign-carrying block factor is applied separately.  Each row equals the
+    same recursion run for its m alone, bit for bit.
+    """
+    steps = n - min(ms) + 1  # recursion steps of the longest row
+    # ln_desc[u] = ln(n - u) for u < n, zero beyond; row m steps by
+    # ln(n-m+1-t) - ln(n-2-t) = ln_desc[m-1+t] - ln_desc[2+t], t = 0..n-m
+    ln_desc = np.zeros(max(ms) - 1 + steps)
+    ln_desc[:n] = np.log(np.arange(n, 0, -1.0))
+    w = np.empty((len(ms), steps + 1))
+    for i, m in enumerate(ms):
+        w[i, 0] = (
+            math.log(m) + math.log(m - 1) + math.log(m - 2)
+            - math.log(n) - math.log(n - 1) - math.log(n - m + 1)
+        )
+        np.subtract(ln_desc[m - 1 : m - 1 + steps], ln_desc[2 : 2 + steps], out=w[i, 1:])
+    np.cumsum(w[:, 1:], axis=1, out=w[:, 1:])
+    w[:, 1:] += w[:, :1]
+    np.exp(w, out=w)
+    js = np.arange(2.0, steps + 3)  # float: the integers j, exactly
+    numer = 2.0 * (n - js + 1)  # block factor numer / (m - 2) - j
+    for i, m in enumerate(ms):
+        w[i] *= numer / (m - 2) - js
+        w[i, n - m + 2 :] = 0.0
+    return w
 
 
 @dataclass(frozen=True)
@@ -374,7 +412,7 @@ def pickands_ustat_truncated(
 
     s = log_spacing_sums(v, int(weights.j[n_used - 1]))
     return TruncatedEstimate(
-        value=math.fsum(weights.w[:n_used] * s),
+        value=float(_exact_sums((weights.w[:n_used] * s)[None], 0.0)[0][0]),
         error_bound=bound,
         terms_used=n_used,
         terms_total=int(weights.w.size),
@@ -385,8 +423,10 @@ def pickands_ustat_grid(sample: SortedSample, m_grid: Sequence[int]) -> Dict[int
     """Estimates for several block sizes sharing one pass of inner sums.
 
     The inner log-spacing sums do not depend on m, so a whole trajectory
-    costs one O(n^2) sweep plus an O(n) weighted sum per block size.
-    Block sizes whose index range hits a tie come back as NaN.
+    costs one O(n^2) sweep plus one reduction of the weighted rows of every
+    block size (:func:`_weight_rows`, :func:`_exact_sums`), taken in blocks
+    of about ``_BLOCK_BUDGET`` elements.  Block sizes whose index range hits
+    a tie come back as NaN.
     """
     n = sample.n
     ms = list(m_grid)
@@ -395,15 +435,17 @@ def pickands_ustat_grid(sample: SortedSample, m_grid: Sequence[int]) -> Dict[int
             raise BlockSizeOutOfRange(f"block size {m} outside [3, {n}]")
     v = sample.values
     j_ok = int(_decreasing_prefix(v[None], n - min(ms) + 3)[0])
-    s = log_spacing_sums(v, j_ok) if j_ok >= 2 else np.empty(0)
-    out = {}
-    for m in ms:
-        j_hi = n - m + 3
-        if j_hi > j_ok:
-            out[m] = float("nan")
-        else:
-            w = pickands_weights(n, m).w
-            out[m] = math.fsum(w * s[: j_hi - 1])
+    out = dict.fromkeys(ms, float("nan"))
+    todo = sorted({m for m in ms if n - m + 3 <= j_ok})
+    if not todo:
+        return out
+    s = log_spacing_sums(v, n - todo[0] + 3)
+    step = max(1, _BLOCK_BUDGET // s.size)
+    for b in range(0, len(todo), step):
+        block = todo[b : b + step]
+        w = _weight_rows(n, block)
+        w *= s[: w.shape[1]]
+        out.update(zip(block, _exact_sums(w, 0.0)[0].tolist()))
     return out
 
 
@@ -432,20 +474,65 @@ def pickands_ustat_batch(values: np.ndarray, m: int) -> np.ndarray:
     tail = 2.0 * np.cumsum((np.abs(w) * np.arange(1, w.size + 1))[::-1])[::-1]
     bound = _log_bound(v, j_hi)
     k = int(np.count_nonzero(tail >= _CUT_TARGET / bound.max()))
-    est, redo = [], []
-    for r, row in enumerate(_spacing_sums(v, k + 1)):
-        kept = (w[:k] * row).tolist()
-        est.append(math.fsum(kept))
-        if k < w.size and not _rounds_full_sum(est[r], kept, bound[r] * tail[k]):
-            redo.append(r)
-    for r, row in zip(redo, _spacing_sums(v[redo], j_hi)):
-        est[r] = math.fsum(w * row)
+    kept = _spacing_sums(v, k + 1)
+    kept *= w[:k]
+    est, proven = _exact_sums(kept, bound * tail[k] if k < w.size else 0.0)
+    if k < w.size and not proven.all():
+        redo = np.flatnonzero(~proven)
+        full = _spacing_sums(v[redo], j_hi)
+        full *= w
+        est[redo] = _exact_sums(full, 0.0)[0]
     out[ok] = est
     return out
 
 
-def _rounds_full_sum(r: float, kept: list, tail: float) -> bool:
-    """Whether r = fsum(kept) is also the rounding of sum(kept) + x, |x| <= tail."""
-    d = math.fsum(kept + [-r])  # |sum(kept) - r| <= |d| (1 + 2^-52)
+def _exact_sums(P: np.ndarray, tail) -> Tuple[np.ndarray, np.ndarray]:
+    """Per row of ``P``, the rounding of its sum plus any x with |x| <= tail.
+
+    Returns the sums and a mask of the rows that are proven; every other row
+    gets ``math.fsum`` of the row (module docstring).  ``tail`` is a number
+    or one per row.  With tail = 0 every row equals ``math.fsum`` bit for bit.
+    """
+    nrow, J = P.shape
+    tail = np.broadcast_to(np.asarray(tail, dtype=float), (nrow,))
+    c = (J + 1).bit_length()  # 2^c >= J + 2
+    out = np.empty(nrow)
+    proven = np.zeros(nrow, dtype=bool)
+    step = max(1, _BLOCK_BUDGET // J)
+    for r0 in range(0, nrow, step):
+        block = P[r0 : r0 + step]
+        p = block.copy()
+        q = np.abs(p)
+        top = q.max(axis=1)
+        fits = (top >= _SUM_MIN) & (top <= _SUM_MAX)  # False for inf and NaN
+        if not fits.all():
+            p[~fits] = 0.0
+            top[~fits] = 0.0
+        levels = np.empty((p.shape[0], _LEVELS))
+        for k in range(_LEVELS):
+            # sigma = 2^c 2^e >= (J + 2) max|p|: every q is a multiple of
+            # 2^-53 sigma with J |q| < sigma, so each row of q sums exactly
+            sigma = np.ldexp(1.0, np.frexp(top)[1] + c)[:, None]
+            np.add(p, sigma, out=q)
+            q -= sigma
+            p -= q
+            levels[:, k] = q.sum(axis=1)
+            top = np.abs(p, out=q).max(axis=1)
+        rem = np.ldexp(top, c)  # 2^c max|p| bounds the sum of what is left
+        rows = zip(levels.tolist(), fits.tolist(), rem.tolist(), tail[r0 : r0 + step].tolist())
+        for i, (parts, ok, bound, t) in enumerate(rows):
+            r = math.fsum(parts)
+            if ok and _rounds_to(r, parts, bound, t):
+                out[r0 + i], proven[r0 + i] = r, True
+            else:
+                out[r0 + i] = math.fsum(block[i].tolist())
+    return out, proven
+
+
+def _rounds_to(r: float, parts: list, remainder: float, tail: float) -> bool:
+    """Whether r = fsum(parts) is the rounding of sum(parts) + x for every
+    |x| <= remainder + tail."""
+    d = math.fsum(parts + [-r])  # |sum(parts) - r| <= |d| (1 + 2^-52)
     gap = min(math.nextafter(r, math.inf) - r, r - math.nextafter(r, -math.inf))
-    return abs(d) * (1.0 + 2.0**-50) + tail < 0.5 * gap
+    # the factor covers d's rounding and the two additions; 0.5 gap is a double
+    return (abs(d) + remainder + tail) * (1.0 + 2.0**-50) < 0.5 * gap

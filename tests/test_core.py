@@ -14,7 +14,6 @@ from xustat.core import (
     TopQKernel,
     pickands_g_prime,
     pickands_kernel,
-    pickands_partials,
     sort_sample,
 )
 
@@ -124,23 +123,6 @@ class TestPickandsKernel:
             y2, y1 = y3 + d2, y3 + d2 + d1
             raw = 2 * math.log(y1 - y2) - math.log(y1 - y3) - math.log(y2 - y3)
             assert pickands_kernel(y1, y2, y3) == pytest.approx(raw, rel=1e-12, abs=1e-12)
-
-    def test_partials_sum_to_zero(self):
-        # location invariance forces the gradient components to cancel
-        k1, k2, k3 = pickands_partials(4.0, 2.5, 1.0)
-        assert k1 + k2 + k3 == pytest.approx(0.0, abs=1e-15)
-
-    def test_partials_match_finite_differences(self):
-        x = np.array([4.0, 2.5, 1.0])
-        eps = 1e-6
-        got = pickands_partials(*x)
-        for j in range(3):
-            hi = x.copy()
-            lo = x.copy()
-            hi[j] += eps
-            lo[j] -= eps
-            fd = (pickands_kernel(*hi) - pickands_kernel(*lo)) / (2 * eps)
-            assert got[j] == pytest.approx(fd, rel=1e-6)
 
 
 class TestDomainTypes:

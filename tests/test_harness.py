@@ -236,6 +236,23 @@ class TestVarianceTable:
             assert float(extra["gpml_norm"]) == pytest.approx((1 + gamma) ** 2 / 3)
             assert row.k == 50
 
+    def test_csv_identical_across_thread_counts(self, tmp_path):
+        # each gamma keeps its own stream, whichever process evaluates it
+        paths = []
+        for threads in (1, 2):
+            config = _config(
+                tmp_path,
+                experiment="VarianceTable",
+                params=(-0.5, 0.0, 0.5),
+                n=300,
+                reps=120,
+                m_grid=(6,),
+                threads=threads,
+                out=str(tmp_path / f"threads{threads}.csv"),
+            )
+            paths.append(run_to_csv(config))
+        assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+
 
 class TestTrajectory:
     def test_single_m(self, tmp_path):

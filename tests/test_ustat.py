@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xustat import dist, ustat
@@ -17,7 +17,9 @@ from xustat.core import (
     sort_sample,
 )
 from xustat.ustat import (
+    _exact_sums,
     _spacing_sums,
+    _weight_rows,
     brute_force_ustat,
     log_spacing_sums,
     overlap_pmf,
@@ -82,6 +84,42 @@ class TestPickandsWeights:
             pickands_weights(10, 2)
         with pytest.raises(BlockSizeOutOfRange):
             pickands_weights(5, 6)
+
+
+def _weights_oracle(n, m):
+    """The weight formula as one m at a time evaluated it, kept verbatim."""
+    js = np.arange(2, n - m + 4)
+    log_ratio = np.empty(js.size)
+    log_ratio[0] = (
+        math.log(m)
+        + math.log(m - 1)
+        + math.log(m - 2)
+        - math.log(n)
+        - math.log(n - 1)
+        - math.log(n - m + 1)
+    )
+    if js.size > 1:
+        j_tail = js[1:]
+        steps = np.log(n - j_tail - m + 4.0) - np.log(n - j_tail + 1.0)
+        log_ratio[1:] = log_ratio[0] + np.cumsum(steps)
+    factor = 2.0 * (n - js + 1) / (m - 2) - js
+    return np.exp(log_ratio) * factor
+
+
+class TestWeightRows:
+    @pytest.mark.parametrize(
+        "n,ms", [(5, range(3, 6)), (50, range(3, 51)), (2000, range(3, 2001)), (10_000, range(3, 201))]
+    )
+    def test_rows_equal_the_one_m_formula(self, n, ms):
+        ms = list(ms)
+        for block in (1, 7, 64):
+            for b in range(0, len(ms), block):
+                rows = _weight_rows(n, ms[b : b + block])
+                assert rows.shape == (len(ms[b : b + block]), n - ms[b] + 2)
+                for row, m in zip(rows, ms[b : b + block]):
+                    want = _weights_oracle(n, m)
+                    assert np.array_equal(row[: want.size], want)
+                    assert not row[want.size :].any()
 
 
 class TestOverlapPmf:
@@ -295,14 +333,16 @@ class TestWeightCutoff:
         x = dist.sample(dist.gp(0.5), 600, dist.RngStream(22, 0)).values
         mat = np.stack([x, x + 1e6, x * 1e150])
         passed = []
-        rounds_full_sum = ustat._rounds_full_sum
+        rounds_to = ustat._rounds_to
 
-        def spy(*args):
-            passed.append(rounds_full_sum(*args))
-            return passed[-1]
+        def spy(r, parts, remainder, tail):
+            verdict = rounds_to(r, parts, remainder, tail)
+            if tail > 0.0:  # a cut row; its full-length redo has tail 0
+                passed.append(verdict)
+            return verdict
 
         monkeypatch.setattr(ustat, "_CUT_TARGET", 1.0)
-        monkeypatch.setattr(ustat, "_rounds_full_sum", spy)
+        monkeypatch.setattr(ustat, "_rounds_to", spy)
         assert list(pickands_ustat_batch(mat, 40)) == _full_sums(mat, 40)
         assert passed == [False] * 3
 
@@ -313,6 +353,116 @@ class TestWeightCutoff:
         block = _spacing_sums(mat, 700)
         for row, got in zip(mat, block):
             assert np.array_equal(_spacing_sums(row[None], 700)[0], got)
+
+
+def _terms(lo, hi):
+    """Doubles +-f 2^e, f in [0.5, 1), e in [lo, hi]."""
+    return st.builds(
+        lambda f, e, neg: math.ldexp(-f if neg else f, e),
+        st.floats(0.5, 1.0, exclude_max=True),
+        st.integers(lo, hi),
+        st.booleans(),
+    )
+
+
+_SUBNORMAL = st.builds(
+    lambda k, neg: math.ldexp(-k if neg else k, -1074), st.integers(1, 2**52 - 1), st.booleans()
+)
+# exponents over +-300, near 2^1000 and 2^-1000 (outside the extraction
+# range: the fallback), subnormals, and all of them in one row
+_REGIMES = [_terms(-300, 300), _terms(990, 1005), _terms(-1005, -990), _SUBNORMAL]
+_REGIMES.append(st.one_of(_REGIMES))
+
+
+@st.composite
+def _summands(draw):
+    """A row: free terms or a sum exactly halfway between two doubles, plus
+    cancelling pairs (x, -x) and zeros, shuffled."""
+    term = draw(st.sampled_from(_REGIMES))
+    pairs = draw(st.lists(term, max_size=4))
+    if draw(st.booleans()):
+        x = draw(term)
+        h = math.copysign(math.ulp(x) / 2, draw(st.sampled_from([1.0, -1.0])))
+        core = [x, h] if draw(st.booleans()) else [x, h / 2, h / 2]
+    else:
+        core = draw(st.lists(term, min_size=1, max_size=20))
+    row = core + pairs + [-v for v in pairs] + [0.0] * draw(st.integers(0, 3))
+    return draw(st.permutations(row))
+
+
+def _matrix(rows):
+    mat = np.zeros((len(rows), max(map(len, rows))))
+    for r, row in enumerate(rows):
+        mat[r, : len(row)] = row
+    return mat
+
+
+# 1 + 2^-53 + 2^-105 rounds up, but the cancelling pairs use two extraction
+# levels and the third stops at 1, so only the remainder bound sees 2^-53
+_REMAINDER_DECIDES = [2.0**200, -(2.0**200), 2.0**100, -(2.0**100), 1.0, 2.0**-53 + 2.0**-105]
+
+
+class TestExactSums:
+    @given(rows=st.lists(_summands(), min_size=1, max_size=6))
+    @example(rows=[_REMAINDER_DECIDES, [1.0, 2.0**-53], [0.0, 0.0]])
+    @settings(max_examples=400, deadline=None)
+    def test_rows_equal_fsum_bit_for_bit(self, rows):
+        mat = _matrix(rows)
+        got, _ = _exact_sums(mat, 0.0)
+        want = np.array([math.fsum(row) for row in rows])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @given(rows=st.lists(_summands(), min_size=1, max_size=6), shift=st.integers(40, 60))
+    @settings(max_examples=200, deadline=None)
+    def test_proven_rows_hold_across_the_tail(self, rows, shift):
+        # rounding is monotone, so a value proven for sum +- tail holds between
+        mat = _matrix(rows)
+        tail = np.array([math.ldexp(abs(math.fsum(row)), -shift) for row in rows])
+        got, proven = _exact_sums(mat, tail)
+        for row, r, ok, t in zip(rows, got.tolist(), proven, tail.tolist()):
+            if ok:
+                assert math.fsum(row + [t]) == r == math.fsum(row + [-t])
+            else:
+                assert r == math.fsum(row)
+
+    def test_halfway_and_remainder_rows_take_the_fallback(self):
+        mat = _matrix([_REMAINDER_DECIDES, [1.0, 2.0**-53], [3.0, -(2.0**-52)], [0.0]])
+        got, proven = _exact_sums(mat, 0.0)
+        assert got.tolist() == [1.0 + 2.0**-52, 1.0, 3.0, 0.0]  # halves round to even
+        assert proven.tolist() == [False, False, False, False]
+
+    def test_row_blocks_do_not_change_the_sums(self):
+        rng = np.random.default_rng(25)
+        mat = rng.standard_normal((40, 5000)) * np.exp(rng.uniform(-30, 30, (40, 5000)))
+        got, proven = _exact_sums(mat, 0.0)
+        assert proven.all()
+        assert got.tolist() == [math.fsum(row) for row in mat.tolist()]
+
+
+class TestTracedCallPaths:
+    """The benchmark's traced run times ``log_spacing_sums`` and
+    ``pickands_weights`` by wrapping their module-level bindings, so the grid
+    and the batch must reach them through those names."""
+
+    def _count(self, monkeypatch, name):
+        calls = []
+        fn = getattr(ustat, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(ustat, name, counting)
+        return calls
+
+    def test_grid_and_batch_reach_the_public_layers(self, monkeypatch):
+        sums = self._count(monkeypatch, "log_spacing_sums")
+        weights = self._count(monkeypatch, "pickands_weights")
+        x = dist.sample(dist.gp(0.5), 300, dist.RngStream(26, 0))
+        pickands_ustat_grid(x, [3, 10, 50])
+        assert len(sums) == 1
+        pickands_ustat_batch(np.stack([x.values, x.values * 2.0]), 10)
+        assert len(weights) == 1
 
 
 class TestTruncation:
