@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import digamma, gammaln, ndtri
 
 from .core import (
     ArgumentOutOfRange,
@@ -82,6 +81,8 @@ def erlang_neg_rho_moment(rho: float, q: int) -> float:
         raise ArgumentOutOfRange("rho must be <= 0 so the moment is positive order")
     if q < 1:
         raise ArgumentOutOfRange("q must be a positive integer")
+    from scipy.special import gammaln
+
     return math.exp(gammaln(q - rho) - gammaln(q))
 
 
@@ -118,6 +119,8 @@ def digamma_moments(gamma: float) -> DigammaMoments:
         u2 = 2.0 * diff
         kernel_mean = 0.0
         return DigammaMoments(e_ln_z, e_ln_z22, e_ln_z12, u1, u2, kernel_mean)
+    from scipy.special import digamma
+
     if gamma > 0:
         a1 = float(digamma(1.0 / gamma))
         a2 = float(digamma(2.0 / gamma))
@@ -333,6 +336,8 @@ def parametric_bootstrap(
     if ok.sum() < 2:
         raise DegenerateSpacing("all bootstrap replications degenerate")
     sd = float(est[ok].std(ddof=1))
+    from scipy.special import ndtri
+
     zq = float(ndtri(0.5 * (1.0 + level)))
     return BootstrapOutcome(
         gamma_hat=point,

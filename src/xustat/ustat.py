@@ -60,7 +60,6 @@ from itertools import combinations
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import (
     BlockSizeOutOfRange,
@@ -186,6 +185,8 @@ def overlap_pmf(n: int, m: int) -> OverlapPmf:
 
 
 def _log_binom(n, k):
+    from scipy.special import gammaln
+
     n = np.asarray(n, dtype=float)
     k = np.asarray(k, dtype=float)
     return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)

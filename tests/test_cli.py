@@ -332,3 +332,14 @@ def test_cli_import_leaves_out_scipy_stats():
         check=True, timeout=120,
     ).stdout
     assert out.strip() == "False"
+
+
+def test_cli_import_leaves_out_scipy_special():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(xustat.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, xustat.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    ).stdout
+    assert out.strip() == "False"

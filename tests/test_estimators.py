@@ -1,10 +1,12 @@
 import math
+from typing import Tuple
 
 import numpy as np
 import pytest
 
 from xustat import dist
 from xustat.core import (
+    ArgumentOutOfRange,
     BlockSizeOutOfRange,
     DegenerateSpacing,
     ThresholdOutOfRange,
@@ -13,8 +15,10 @@ from xustat.core import (
     sort_sample,
 )
 from xustat.estimators import (
+    GpMlFit,
     _profile_columns,
     _profile_scan,
+    _theta_grid,
     excesses_over_threshold,
     gp_ml_fit,
     paired_k,
@@ -191,6 +195,200 @@ class TestProfileScan:
         for j in range(0, 400, 5):
             f, _ = _profile_columns(grid, x, np.array([j]))
             assert f[0] == full[j]
+
+
+# The fit path before its per-call rework (numpy means, two geomspace calls,
+# scan indices rebuilt per call), kept verbatim but for names and docstrings:
+# the oracle the current path must equal field for field.
+_PROFILE_GRID, _SCAN_STEP, _SCAN_MARGIN = 400, 16, 1e-9
+_EDGE_STEP, _GOLDEN_TOL, _GOLDEN_CAP = 1e-12, 1e-12, 200
+
+
+def _old_profile_objective(theta: float, x: np.ndarray) -> Tuple[float, float]:
+    if theta == 0.0:
+        return math.log(float(x.mean())), 0.0
+    gam = float(np.mean(np.log1p(theta * x)))
+    if gam <= -1.0 or gam == 0.0:
+        return math.inf, gam
+    ratio = gam / theta
+    if ratio <= 0.0:
+        return math.inf, gam
+    return math.log(ratio) + gam, gam
+
+
+def _old_profile_score(theta: float, x: np.ndarray) -> float:
+    if theta == 0.0:
+        xbar = float(x.mean())
+        return xbar - float(np.mean(x * x)) / (2.0 * xbar)
+    gam = float(np.mean(np.log1p(theta * x)))
+    if gam <= -1.0 or gam == 0.0:
+        return math.nan
+    dgam = float(np.mean(x / (1.0 + theta * x)))
+    return dgam * (1.0 / gam + 1.0) - 1.0 / theta
+
+
+def _old_profile_columns(grid, x, idx) -> Tuple[np.ndarray, np.ndarray]:
+    cols = idx if idx.size != 1 else np.append(idx, idx[0] - 1 if idx[0] else 1)
+    theta = grid[cols]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g = np.log1p(theta[None, :] * x[:, None]).mean(axis=0)
+        f = np.log(g / theta) + g
+    f[(g <= -1.0) | (g == 0.0) | ~np.isfinite(f)] = np.inf
+    return f[: idx.size], g[: idx.size]
+
+
+def _old_profile_scan(x: np.ndarray, xmax: float, xbar: float) -> Tuple[np.ndarray, np.ndarray]:
+    half, lo, mid, hi = _PROFILE_GRID // 2, (1.0 - 1e-9) / xmax, 1e-8 / xbar, 1e7 / xmax
+    grid = np.concatenate([-np.geomspace(lo, mid, half), np.geomspace(mid, hi, half)])
+    f, gams = np.full(grid.size, np.inf), np.full(grid.size, np.nan)
+    first = np.append(np.arange(0, grid.size - 1, _SCAN_STEP), grid.size - 1)
+    f[first], gams[first] = _old_profile_columns(grid, x, first)
+    best = float(f.min())
+
+    pos = np.searchsorted(first, np.arange(grid.size), side="right") - 1
+    a, b = first[pos], first[np.minimum(pos + 1, first.size - 1)]
+    ga, gb = gams[a], gams[b]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        chord = ga + (gb - ga) * (grid - grid[a]) / (grid[b] - grid[a])
+        c = np.maximum(chord, np.maximum(ga, -1.0))
+        lr = np.log(gb / grid[b])
+        lr = np.where((grid > 0.0) & (c > 0.0), np.maximum(lr, np.log(c / grid)), lr)
+        bound = np.where(gb <= -1.0, np.inf, lr + c)
+    pruned = bound > best + _SCAN_MARGIN * (1.0 + abs(best))
+    rest = np.flatnonzero(np.isnan(gams) & ~pruned)
+    f[rest], gams[rest] = _old_profile_columns(grid, x, rest)
+    return grid, f
+
+
+def _old_gp_ml_fit(excesses) -> GpMlFit:
+    x = np.asarray(excesses, dtype=float)
+    if x.size < 5:
+        raise TooFewObservations(f"need at least 5 excesses, got {x.size}")
+    if not np.all(np.isfinite(x)) or np.any(x < 0.0):
+        raise ArgumentOutOfRange("excesses must be finite and nonnegative")
+    xmax = float(x.max())
+    if xmax <= 0.0 or x.min() == xmax:
+        raise DegenerateSpacing("excesses have zero spread; no interior maximizer")
+    xbar = float(x.mean())
+    grid, f = _old_profile_scan(x, xmax, xbar)
+
+    k = x.size
+    if not np.isfinite(f).any():
+        # nothing feasible on the grid; report the exponential boundary model
+        return GpMlFit(0.0, xbar, -k * (math.log(xbar) + 1.0), False, 0)
+
+    i = int(np.argmin(f))
+    a = grid[max(i - 1, 0)]
+    b = grid[min(i + 1, grid.size - 1)]
+
+    theta, converged, iters = _old_refine_bracket(a, b, x)
+    f_star, gam = _old_profile_objective(theta, x)
+    f_exp, _ = _old_profile_objective(0.0, x)
+    if math.log(xmax) - 1.0 < min(f_star, f_exp):
+        # the gamma -> -1 edge beats both: step just inside it, sigma just above -gamma * xmax
+        gam = -1.0 + _EDGE_STEP
+        sigma = -gam * xmax * (1.0 + _EDGE_STEP)
+        loglik = -k * math.log(sigma) - (1.0 + 1.0 / gam) * float(np.log1p(gam * x / sigma).sum())
+        return GpMlFit(gam, sigma, loglik, False, iters)
+    if f_exp <= f_star:
+        return GpMlFit(0.0, xbar, -k * (f_exp + 1.0), converged, iters)
+    return GpMlFit(gam, gam / theta, -k * (f_star + 1.0), converged, iters)
+
+
+def _old_refine_bracket(a: float, b: float, x: np.ndarray) -> Tuple[float, bool, int]:
+    sa = _old_profile_score(a, x)
+    sb = _old_profile_score(b, x)
+    if math.isfinite(sa) and math.isfinite(sb) and sa * sb < 0.0:
+        from scipy.optimize import brentq
+
+        theta, res = brentq(
+            _old_profile_score,
+            a,
+            b,
+            args=(x,),
+            xtol=_GOLDEN_TOL * (1.0 + min(abs(a), abs(b))),
+            maxiter=_GOLDEN_CAP,
+            full_output=True,
+            disp=False,
+        )
+        return float(theta), bool(res.converged), int(res.iterations)
+
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, _ = _old_profile_objective(c, x)
+    fd, _ = _old_profile_objective(d, x)
+    iters = 0
+    while abs(b - a) > _GOLDEN_TOL * (1.0 + abs(a)) and iters < _GOLDEN_CAP:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc, _ = _old_profile_objective(c, x)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd, _ = _old_profile_objective(d, x)
+        iters += 1
+    converged = abs(b - a) <= _GOLDEN_TOL * (1.0 + abs(a))
+    return 0.5 * (a + b), converged, iters
+
+
+class TestFitOracle:
+    FAMILIES = [
+        dist.gp(0.5),
+        dist.student_t(4),
+        dist.burr(1.0, 2.0),
+        dist.gp(-0.3),
+        dist.gp(-0.8),
+        dist.student_t(1),
+    ]
+
+    @pytest.mark.parametrize("n", [2000, 10_000])
+    def test_every_field_equals_the_oracle(self, n):
+        for f_i, spec in enumerate(self.FAMILIES):
+            s = dist.sample(spec, n, dist.RngStream(43, f_i))
+            for m in range(3, 201):
+                x = excesses_over_threshold(s, paired_k(n, m))
+                assert gp_ml_fit(x) == _old_gp_ml_fit(x), (spec, m)
+
+    @pytest.mark.parametrize("seed", [12, 13, 16, 23, 30])
+    def test_edge_inputs_equal_the_oracle(self, seed):
+        s = dist.sample(dist.student_t(4), 10_000, dist.RngStream(seed, 2))
+        x = excesses_over_threshold(s, 9999)
+        assert gp_ml_fit(x) == _old_gp_ml_fit(x)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            [1.0, 2.0, 3.0, 4.0],
+            [1.0, 2.0, math.nan, 4.0, 5.0],
+            [1.0, 2.0, math.inf, 4.0, 5.0],
+            [1.0, 2.0, -math.inf, 4.0, 5.0],
+            [1.0, 2.0, -0.5, 4.0, 5.0],
+            [-1.0, math.nan, 3.0, 4.0, 5.0],
+            [2.0] * 5,
+            [0.0] * 6,
+        ],
+    )
+    def test_same_exception_types(self, x):
+        with pytest.raises((TooFewObservations, ArgumentOutOfRange, DegenerateSpacing)) as new:
+            gp_ml_fit(x)
+        with pytest.raises(type(new.value)):
+            _old_gp_ml_fit(x)
+
+
+class TestThetaGrid:
+    def test_equals_two_geomspace_calls(self):
+        rng = np.random.default_rng(44)
+        for i in range(10_000):
+            # (max x, mean x) across 1e+-300, mean x between max x / 1e4 and max x
+            xmax = 10.0 ** rng.uniform(-300.0, 300.0)
+            xbar = xmax * 10.0 ** -rng.uniform(0.0, 4.0)
+            lo, mid, hi = (1.0 - 1e-9) / xmax, 1e-8 / xbar, 1e7 / xmax
+            if i % 10 == 0:
+                mid = lo
+            want = np.concatenate([-np.geomspace(lo, mid, 200), np.geomspace(mid, hi, 200)])
+            assert np.array_equal(_theta_grid(lo, mid, hi), want), (lo, mid, hi)
 
 
 class TestTrajectory:

@@ -1,3 +1,4 @@
+import inspect
 import math
 import warnings
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xustat import dist, ustat
+from xustat import dist, estimators, harness, ustat
 from xustat.core import (
     BlockSizeOutOfRange,
     DegenerateSpacing,
@@ -440,19 +441,21 @@ class TestExactSums:
 
 
 class TestTracedCallPaths:
-    """The benchmark's traced run times ``log_spacing_sums`` and
-    ``pickands_weights`` by wrapping their module-level bindings, so the grid
-    and the batch must reach them through those names."""
+    """The benchmark's traced run times ``log_spacing_sums``,
+    ``pickands_weights`` and ``gp_ml_fit`` by wrapping their module-level
+    bindings, so their callers must reach them through those names; it wraps
+    every public function, so helpers stay private."""
 
-    def _count(self, monkeypatch, name):
+    def _count(self, monkeypatch, name, module=ustat):
         calls = []
-        fn = getattr(ustat, name)
+        fn = getattr(module, name)
 
         def counting(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
+            calls.append(result)
+            return result
 
-        monkeypatch.setattr(ustat, name, counting)
+        monkeypatch.setattr(module, name, counting)
         return calls
 
     def test_grid_and_batch_reach_the_public_layers(self, monkeypatch):
@@ -463,6 +466,37 @@ class TestTracedCallPaths:
         assert len(sums) == 1
         pickands_ustat_batch(np.stack([x.values, x.values * 2.0]), 10)
         assert len(weights) == 1
+
+    def test_paired_fits_reach_gp_ml_fit_by_name(self, monkeypatch):
+        fits = self._count(monkeypatch, "gp_ml_fit", harness)
+        x = dist.sample(dist.gp(0.5), 400, dist.RngStream(27, 0))
+        harness._pickands_and_gpml(x, [4, 12, 40])
+        assert len(fits) == 3
+        # the tracer's fit counter reads these two fields
+        for fit in fits:
+            assert isinstance(fit.iterations, int) and isinstance(fit.converged, bool)
+
+    @pytest.mark.parametrize(
+        "module,public",
+        [
+            (estimators, {"excesses_over_threshold", "gp_ml_fit", "paired_k"}),
+            (
+                ustat,
+                {
+                    "brute_force_ustat", "log_spacing_sums", "overlap_pmf", "pickands_ustat",
+                    "pickands_ustat_batch", "pickands_ustat_grid", "pickands_ustat_truncated",
+                    "pickands_weights", "topq_weighted_ustat",
+                },
+            ),
+        ],
+    )
+    def test_helpers_stay_private(self, module, public):
+        names = {
+            name
+            for name, obj in vars(module).items()
+            if inspect.isfunction(obj) and obj.__module__ == module.__name__ and not name.startswith("_")
+        }
+        assert names == public
 
 
 class TestTruncation:
