@@ -42,25 +42,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cmd_estimate(args) -> int:
+    if args.boot_reps is not None:
+        return _cmd_bootstrap(args)
     if args.m < 3:
         raise CliUsageError("--m must be at least 3")
-    sample = read_sample_file(args.input)
-    if args.bootstrap is None:
-        gamma_hat = ustat.pickands_ustat(sample, args.m, truncation=args.truncation)
-        print(f"gamma_hat={gamma_hat!r}")
-        return EXIT_OK
-    if args.bootstrap < 200:
-        raise CliUsageError("--bootstrap must be at least 200")
-    if not 0.0 < args.level < 1.0:
-        raise CliUsageError("--level must lie in (0, 1)")
-    out = asymptotics.parametric_bootstrap(
-        sample, args.m, args.bootstrap, args.level, dist.RngStream(args.seed)
-    )
-    print(f"gamma_hat={out.gamma_hat!r}")
-    print(f"ci=[{out.ci_low!r},{out.ci_high!r}]")
-    print(f"stderr={out.stderr!r}")
-    if out.dropped:
-        print(f"dropped={out.dropped}")
+    gamma_hat = ustat.pickands_ustat(read_sample_file(args.input), args.m)
+    print(f"gamma_hat={gamma_hat!r}")
     return EXIT_OK
 
 
@@ -112,6 +99,8 @@ def _cmd_variance_table(args) -> int:
         raise CliUsageError("--gammas must list at least one value")
     if args.m < 3 or args.m > args.n:
         raise CliUsageError("need 3 <= m <= n")
+    if args.reps < 100:
+        raise CliUsageError("--reps must be at least 100")
     for gi, gamma in enumerate(gammas):
         est = asymptotics.sigma2_kvar_mc(
             gamma, args.n, args.m, args.reps, dist.RngStream(args.seed, gi)
@@ -140,10 +129,14 @@ def _cmd_bias(args) -> int:
 
 
 def _cmd_bootstrap(args) -> int:
+    """``bootstrap --boot-reps B`` and ``estimate --bootstrap B``: every flag is
+    checked before the file is read, and ``estimate`` prints ``dropped=`` only
+    when it is nonzero."""
+    flag = "--boot-reps" if args.command == "bootstrap" else "--bootstrap"
     if args.m < 3:
         raise CliUsageError("--m must be at least 3")
     if args.boot_reps < 200:
-        raise CliUsageError("--boot-reps must be at least 200")
+        raise CliUsageError(f"{flag} must be at least 200")
     if not 0.0 < args.level < 1.0:
         raise CliUsageError("--level must lie in (0, 1)")
     sample = read_sample_file(args.input)
@@ -153,7 +146,8 @@ def _cmd_bootstrap(args) -> int:
     print(f"gamma_hat={out.gamma_hat!r}")
     print(f"ci=[{out.ci_low!r},{out.ci_high!r}]")
     print(f"stderr={out.stderr!r}")
-    print(f"dropped={out.dropped}")
+    if out.dropped or args.command == "bootstrap":
+        print(f"dropped={out.dropped}")
     return EXIT_OK
 
 
@@ -227,13 +221,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("estimate", help="estimate gamma from a sample file")
     p.add_argument("--input", required=True, help="sample file, one number per line")
     p.add_argument("--m", type=int, required=True, help="block size (>= 3)")
-    p.add_argument("--bootstrap", type=int, default=None, metavar="B",
+    p.add_argument("--bootstrap", dest="boot_reps", type=int, default=None, metavar="B",
                    help="bootstrap replications for a CI (>= 200)")
     p.add_argument("--level", type=float, default=0.95, help="CI level (default 0.95)")
     p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED,
                    help="master seed (default fixed constant)")
-    p.add_argument("--truncation", type=float, default=None,
-                   help="optional relative tolerance for weight-tail truncation")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("weights", help="print the order-statistic weights")

@@ -5,7 +5,7 @@ Three routes to the same quantity:
 * :func:`brute_force_ustat` enumerates every size-m subset (the oracle),
 * :func:`topq_weighted_ustat` sums kernel values over rank tuples weighted by
   the number of subsets whose top q lands on those ranks,
-* the Pickands evaluators (single, truncated, grid and batch) evaluate the
+* the Pickands evaluators (single, grid and batch) evaluate the
   explicit formula U = sum_j w_j s_j.  All take s_j from one O(n^2) kernel
   over cache-sized row blocks, :func:`_spacing_sums`, which multiplies the
   spacings under exact power-of-two renormalisation and takes one log per
@@ -37,13 +37,14 @@ row.  Every path therefore keeps the bits of ``math.fsum``, with one Python
 call per row on three numbers instead of one over the whole row.
 
 Exact weight cut-off (single and batch; the grid shares one full sweep across
-its m).  With L a row's largest |ln spacing| (:func:`_log_bound`), |s_j| <=
-(j-1) L, so the terms past the first K sum to at most 2 L sum_{j>K+1} |w_j|
-(j-1), the 2 covering the rounding of s_j and w_j s_j.  K is the fewest terms
-whose bound is below ``_CUT_TARGET`` = 2^-66; their s_j equal the full-length
-kernel's bit for bit.  The kept terms are reduced with that bound as their
-``tail``, so a proven row is the rounding of the full sum; other rows are
-summed over all terms.
+its m).  With L a row's largest |ln spacing|, taken at its smallest or largest
+spacing (:func:`_spacing_ends`), |s_j| <= (j-1) L, so the terms past the
+first K sum to at most 2 L sum_{j>K+1} |w_j| (j-1), the 2 covering the
+rounding of s_j and w_j s_j.  K is the fewest terms whose bound is below
+``_CUT_TARGET`` = 2^-66; their s_j equal the full-length kernel's bit for
+bit.  The kept terms are reduced with that bound as their ``tail``, so a
+proven row is the rounding of the full sum; other rows are summed over all
+terms.
 
 The weights w_j carry their binomial ratios in log space through a
 recursive update, so n = 10^4 and beyond evaluate without overflow; the grid
@@ -57,7 +58,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -277,11 +278,6 @@ def _spacing_ends(v: np.ndarray, j_hi: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.min(head[:, :-1] - head[:, 1:], axis=1), head[:, 0] - head[:, -1]
 
 
-def _log_bound(v: np.ndarray, j_hi: int) -> np.ndarray:
-    """Per row, L = max |ln(v[i] - v[j])| over 0 <= i < j < j_hi."""
-    return np.abs(np.log(_spacing_ends(v, j_hi))).max(axis=0)
-
-
 def _renormalise(p: np.ndarray, e: np.ndarray, scratch: np.ndarray) -> None:
     """Move the binary exponents of positive normal ``p`` into ``e``, leaving p in [1, 2).
 
@@ -364,60 +360,14 @@ def log_spacing_sums(values: np.ndarray, j_hi: int) -> np.ndarray:
     return _spacing_sums(v[None], j_hi)[0]
 
 
-def pickands_ustat(
-    sample: SortedSample, m: int, truncation: Optional[float] = None
-) -> float:
+def pickands_ustat(sample: SortedSample, m: int) -> float:
     """Extreme U-Pickands estimate of the extreme value index at block size m.
 
-    Exact when ``truncation`` is None; otherwise trailing weight terms are
-    dropped once their conservative tail bound falls below ``truncation``
-    times the accumulated magnitude (see :func:`pickands_ustat_truncated`).
+    The exactly rounded U = sum_j w_j s_j, a batch of one row
+    (:func:`pickands_ustat_batch`); a tie raises DegenerateSpacing.
     """
-    if truncation is not None:
-        return pickands_ustat_truncated(sample, m, truncation).value
     _require_decreasing(sample.values, sample.n - m + 3)
     return float(pickands_ustat_batch(sample.values[None], m)[0])
-
-
-@dataclass(frozen=True)
-class TruncatedEstimate:
-    """Truncated evaluation with its reported error bound."""
-
-    value: float
-    error_bound: float
-    terms_used: int
-    terms_total: int
-
-
-def pickands_ustat_truncated(
-    sample: SortedSample, m: int, truncation: float
-) -> TruncatedEstimate:
-    """Drop trailing j-terms whose tail bound L * sum_{j>J} |w_j| (j-1) is negligible.
-
-    J is the first index where that bound (L from :func:`_log_bound`) drops
-    below ``truncation`` times the same magnitude proxy over the kept head.
-    """
-    if truncation <= 0:
-        raise BlockSizeOutOfRange("truncation tolerance must be positive")
-    n = sample.n
-    weights = pickands_weights(n, m)
-    j_hi = n - m + 3
-    v = sample.values
-    _require_decreasing(v, j_hi)
-    mag = np.abs(weights.w) * (weights.j - 1) * _log_bound(v[None], j_hi)[0]
-    tail = np.cumsum(mag[::-1])[::-1]
-    head = np.cumsum(mag)
-    keep = tail[1:] > truncation * head[:-1]  # keep[idx]: term idx+1 still needed
-    n_used = int(np.argmin(keep)) + 1 if not keep.all() else weights.w.size
-    bound = float(tail[n_used]) if n_used < weights.w.size else 0.0
-
-    s = log_spacing_sums(v, int(weights.j[n_used - 1]))
-    return TruncatedEstimate(
-        value=float(_exact_sums((weights.w[:n_used] * s)[None], 0.0)[0][0]),
-        error_bound=bound,
-        terms_used=n_used,
-        terms_total=int(weights.w.size),
-    )
 
 
 def pickands_ustat_grid(sample: SortedSample, m_grid: Sequence[int]) -> Dict[int, float]:
@@ -473,7 +423,7 @@ def pickands_ustat_batch(values: np.ndarray, m: int) -> np.ndarray:
     w = pickands_weights(n, m).w
     # tail[k] * L bounds the terms from index k on, rounding included
     tail = 2.0 * np.cumsum((np.abs(w) * np.arange(1, w.size + 1))[::-1])[::-1]
-    bound = _log_bound(v, j_hi)
+    bound = np.abs(np.log(_spacing_ends(v, j_hi))).max(axis=0)  # L per row
     k = int(np.count_nonzero(tail >= _CUT_TARGET / bound.max()))
     kept = _spacing_sums(v, k + 1)
     kept *= w[:k]

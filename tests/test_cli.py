@@ -91,18 +91,6 @@ class TestEstimate:
         lo, hi = (float(v) for v in pairs["ci"].strip("[]").split(","))
         assert lo <= float(pairs["gamma_hat"]) <= hi
 
-    def test_truncation_flag(self, capsys, gp_sample_file):
-        _, exact_out, _ = run_cli(
-            capsys, "estimate", "--input", gp_sample_file, "--m", "10"
-        )
-        code, out, _ = run_cli(
-            capsys, "estimate", "--input", gp_sample_file, "--m", "10",
-            "--truncation", "1e-9",
-        )
-        assert code == 0
-        exact = float(kv(exact_out)["gamma_hat"])
-        assert float(kv(out)["gamma_hat"]) == pytest.approx(exact, rel=1e-7)
-
     def test_seed_default_is_fixed(self, capsys, gp_sample_file):
         _, out1, _ = run_cli(
             capsys, "estimate", "--input", gp_sample_file, "--m", "10",
@@ -280,6 +268,11 @@ class TestVarianceTableCmd:
         assert code == 0
         assert "sigma2=" in out
 
+    def test_too_few_reps_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "variance-table", "--gammas", "0.0", "--reps", "50")
+        assert code == 1
+        assert "--reps must be at least 100" in err
+
 
 class TestBiasCmd:
     def test_smoke(self, capsys):
@@ -307,6 +300,32 @@ class TestBootstrapCmd:
         pairs = kv(out)
         assert "ci" in pairs and "dropped" in pairs
 
+    def test_estimate_bootstrap_prints_the_same_interval(self, capsys, gp_sample_file):
+        common = ("--input", gp_sample_file, "--m", "10", "--seed", "7")
+        _, est, _ = run_cli(capsys, "estimate", *common, "--bootstrap", "200")
+        _, boot, _ = run_cli(capsys, "bootstrap", *common, "--boot-reps", "200")
+        boot_lines = boot.splitlines()
+        assert [line.partition("=")[0] for line in boot_lines] == [
+            "gamma_hat", "ci", "stderr", "dropped"
+        ]
+        assert boot_lines[3] == "dropped=0"
+        # estimate prints dropped= only when something was dropped
+        assert est.splitlines() == boot_lines[:3]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("estimate", "--bootstrap", "100"),
+            ("estimate", "--bootstrap", "200", "--level", "1.5"),
+            ("bootstrap", "--boot-reps", "100"),
+            ("bootstrap", "--level", "1.5"),
+        ],
+    )
+    def test_bad_flag_is_usage_error_before_reading_input(self, capsys, tmp_path, argv):
+        code, _, err = run_cli(capsys, *argv, "--input", str(tmp_path / "nope.txt"), "--m", "10")
+        assert code == 1
+        assert "cannot read" not in err
+
 
 class TestTopLevel:
     def test_no_command_is_usage_error(self, capsys):
@@ -319,7 +338,7 @@ class TestTopLevel:
         with pytest.raises(SystemExit):
             main(["estimate", "--help"])
         out = capsys.readouterr().out
-        for flag in ("--input", "--m", "--bootstrap", "--level", "--seed", "--truncation"):
+        for flag in ("--input", "--m", "--bootstrap", "--level", "--seed"):
             assert flag in out
 
 

@@ -300,7 +300,9 @@ class TestFailureAccounting:
 
 
 class TestCommittedResults:
-    @pytest.mark.parametrize("name", ["trajectory_student_t4", "mse_gp05", "bias_burr"])
+    @pytest.mark.parametrize(
+        "name", ["trajectory_student_t4", "mse_gp05", "bias_burr", "variance_table"]
+    )
     def test_desk_config_regenerates_committed_csv(self, tmp_path, name):
         # the committed CSVs pin the kernel's summation order and the sweep
         # runner's row layout to the last bit

@@ -27,7 +27,6 @@ from xustat.ustat import (
     pickands_ustat,
     pickands_ustat_batch,
     pickands_ustat_grid,
-    pickands_ustat_truncated,
     pickands_weights,
     topq_weighted_ustat,
 )
@@ -484,8 +483,8 @@ class TestTracedCallPaths:
                 ustat,
                 {
                     "brute_force_ustat", "log_spacing_sums", "overlap_pmf", "pickands_ustat",
-                    "pickands_ustat_batch", "pickands_ustat_grid", "pickands_ustat_truncated",
-                    "pickands_weights", "topq_weighted_ustat",
+                    "pickands_ustat_batch", "pickands_ustat_grid", "pickands_weights",
+                    "topq_weighted_ustat",
                 },
             ),
         ],
@@ -497,31 +496,6 @@ class TestTracedCallPaths:
             if inspect.isfunction(obj) and obj.__module__ == module.__name__ and not name.startswith("_")
         }
         assert names == public
-
-
-class TestTruncation:
-    def test_error_within_reported_bound(self):
-        rng = np.random.default_rng(14)
-        s = sort_sample(dist.quantile(dist.gp(0.5), rng.random(2000)))
-        exact = pickands_ustat(s, 20)
-        for tau in (1e-6, 1e-10):
-            out = pickands_ustat_truncated(s, 20, tau)
-            assert out.terms_used <= out.terms_total
-            assert abs(out.value - exact) <= out.error_bound + 1e-12
-        # tighter tolerance keeps more terms
-        loose = pickands_ustat_truncated(s, 20, 1e-3)
-        tight = pickands_ustat_truncated(s, 20, 1e-12)
-        assert loose.terms_used <= tight.terms_used
-
-    def test_truncation_off_by_default(self):
-        s = sort_sample([4, 3, 1, 0])
-        assert pickands_ustat(s, 3) == pickands_ustat(s, 3, truncation=None)
-
-    def test_truncation_argument_path(self):
-        rng = np.random.default_rng(15)
-        s = sort_sample(rng.random(500))
-        approx = pickands_ustat(s, 40, truncation=1e-9)
-        assert approx == pytest.approx(pickands_ustat(s, 40), rel=1e-7)
 
 
 class TestLogSpacingSums:
