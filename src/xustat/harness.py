@@ -13,7 +13,8 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -63,6 +64,8 @@ class ExperimentConfig:
                 raise ValueError("VarianceTable requires family = GP")
             if not self.params:
                 raise ValueError("VarianceTable params must list the gamma grid")
+            if len(self.m_grid) != 1:
+                raise ValueError("VarianceTable takes one block size in m_grid")
 
     def effective_threads(self) -> int:
         return self.threads if self.threads > 0 else (os.cpu_count() or 1)
@@ -203,7 +206,7 @@ def _map_reps(worker: Callable, args: Sequence, threads: int) -> List:
 
 
 def _aggregate(
-    estimates: Sequence[float], true_gamma: Optional[float]
+    estimates: Sequence[float], true_gamma: float
 ) -> Tuple[float, int, float, float, float]:
     """(mean, failures, bias, variance, mse) over the successful replications.
 
@@ -216,108 +219,119 @@ def _aggregate(
         return float("nan"), failures, float("nan"), float("nan"), float("nan")
     mean = float(ok.mean())
     var = float(np.mean((ok - mean) ** 2))
-    if true_gamma is None:
-        return mean, failures, float("nan"), var, float("nan")
     bias = mean - true_gamma
     mse = float(np.mean((ok - true_gamma) ** 2))
     return mean, failures, bias, var, mse
 
 
-def _pickands_and_gpml(
-    sample: SortedSample, m_grid: Sequence[int]
-) -> List[Tuple[int, int, str, float, int]]:
-    """Both estimators over the grid on one sample.
+@dataclass(frozen=True)
+class _Estimate:
+    """One estimate in one replication; a NaN ``gamma_hat`` is a failure.  A
+    bootstrap estimate also carries its CI as per-replication ``extra`` text
+    and whether that interval covers the true gamma."""
 
-    Returns (m, k, estimator, gamma_hat, failed) tuples; failures come back
-    as NaN with the flag set instead of raising.
-    """
-    n = sample.n
-    rows: List[Tuple[int, int, str, float, int]] = []
+    m: int
+    k: int
+    estimator: str
+    gamma_hat: float
+    extra: str = ""
+    covered: bool = False
+
+
+def _pickands_and_gpml(sample: SortedSample, m_grid: Sequence[int]) -> List[_Estimate]:
+    """Both estimators over the grid on one sample; failures come back as NaN."""
     pick = pickands_ustat_grid(sample, m_grid)
+    out: List[_Estimate] = []
     for m in m_grid:
-        k = paired_k(n, m)
-        est = pick[m]
-        rows.append((m, k, "ExtremePickands", est, int(not math.isfinite(est))))
-        if k < 5:
-            rows.append((m, k, "GpMl", float("nan"), 1))
-            continue
-        try:
+        k = paired_k(sample.n, m)
+        out.append(_Estimate(m, k, "ExtremePickands", pick[m]))
+        gamma_hat = float("nan")
+        try:  # fewer than 5 excesses raise TooFewObservations
             fit = gp_ml_fit(excesses_over_threshold(sample, k))
             if fit.converged:
-                rows.append((m, k, "GpMl", fit.gamma_hat, 0))
-            else:
-                rows.append((m, k, "GpMl", float("nan"), 1))
+                gamma_hat = fit.gamma_hat
         except TailInferenceError:
-            rows.append((m, k, "GpMl", float("nan"), 1))
-    return rows
+            pass
+        out.append(_Estimate(m, k, "GpMl", gamma_hat))
+    return out
 
 
-def _rep_rows(
-    config: ExperimentConfig, label: str, n: int, rep: int, cells, extra: str
-) -> List[ResultRow]:
-    """Per-replication rows from the (m, k, estimator, gamma_hat, failed) cells
-    of :func:`_pickands_and_gpml`; bias, variance and mse stay NaN."""
-    nan = float("nan")
-    return [
-        ResultRow(
-            config.experiment, label, n, m, k, str(rep), est_name,
-            gamma_hat, failed, nan, nan, nan, extra,
-        )
-        for m, k, est_name, gamma_hat, failed in cells
-    ]
-
-
-def _paired_rep_worker(args):
-    spec, n, m_grid, seed, path, r = args
-    sample = dist.sample(spec, n, dist.RngStream(seed, r, path))
-    return _pickands_and_gpml(sample, m_grid)
-
-
-def _paired_sweep(
-    config: ExperimentConfig,
-    spec: dist.DistributionSpec,
-    path: Tuple[int, ...],
-    extra: str,
-    per_rep: bool,
-) -> List[ResultRow]:
-    """Both estimators over the m grid on ``config.reps`` samples from ``spec``.
-
-    Replication r draws from stream (master_seed, r, *path) and reuses its
-    sample across the whole grid.  Per-replication rows, when asked for,
-    come first, then one aggregate row per (m, estimator).
-    """
-    args = [
-        (spec, config.n, config.m_grid, config.master_seed, path, r)
-        for r in range(config.reps)
-    ]
-    per_rep_rows = _map_reps(_paired_rep_worker, args, config.effective_threads())
-    rows: List[ResultRow] = []
-    if per_rep:
-        for r, cells in enumerate(per_rep_rows):
-            rows.extend(_rep_rows(config, spec.label, config.n, r, cells, extra))
-    for m in config.m_grid:
-        k = paired_k(config.n, m)
-        for est_name in ("ExtremePickands", "GpMl"):
-            ests = [
-                cell[3]
-                for cells in per_rep_rows
-                for cell in cells
-                if cell[0] == m and cell[2] == est_name
-            ]
-            mean, failures, bias, var, mse = _aggregate(ests, spec.true_gamma)
-            rows.append(
-                ResultRow(
-                    config.experiment, spec.label, config.n, m, k, "agg",
-                    est_name, mean, failures, bias, var, mse, extra,
-                )
+def _replication(
+    config: ExperimentConfig, spec: dist.DistributionSpec, path: Tuple[int, ...], r: int
+) -> List[_Estimate]:
+    """Replication r draws one sample from stream (master_seed, r, *path) and
+    reuses it across the m grid; the bootstrap at block size number mi
+    resamples from stream (master_seed, r, 1, mi)."""
+    sample = dist.sample(spec, config.n, dist.RngStream(config.master_seed, r, path))
+    if config.experiment != "BootstrapCoverage":
+        return _pickands_and_gpml(sample, config.m_grid)
+    out: List[_Estimate] = []
+    for mi, m in enumerate(config.m_grid):
+        try:
+            boot = parametric_bootstrap(
+                sample, m, BOOT_REPS_DEFAULT, BOOT_LEVEL_DEFAULT,
+                dist.RngStream(config.master_seed, r, (1, mi)),
             )
+            gamma_hat, lo, hi, dropped = boot.gamma_hat, boot.ci_low, boot.ci_high, boot.dropped
+        except TailInferenceError:
+            gamma_hat = lo = hi = float("nan")
+            dropped = 0
+        covered = lo <= spec.true_gamma <= hi
+        ci = f"ci_low={_fmt(lo)};ci_high={_fmt(hi)};covered={int(covered)};dropped={dropped}"
+        out.append(_Estimate(m, paired_k(config.n, m), "ExtremePickands", gamma_hat, ci, covered))
+    return out
+
+
+def _rows(
+    config: ExperimentConfig, label: str, n: int, reps: Sequence[List[_Estimate]], extra: str,
+    per_rep: bool, aggregate: bool = True, true_gamma: float = math.nan,
+) -> List[ResultRow]:
+    """Per-replication rows (if ``per_rep``) in replication order, with NaN
+    bias, variance and mse and the estimate's own extra text if it has one;
+    then (if ``aggregate``) one row per (m, estimator) in first-seen order."""
+    nan = float("nan")
+    rows = [
+        ResultRow(
+            config.experiment, label, n, e.m, e.k, str(r), e.estimator, e.gamma_hat,
+            int(not math.isfinite(e.gamma_hat)), nan, nan, nan, e.extra or extra,
+        )
+        for r, estimates in enumerate(reps if per_rep else ())
+        for e in estimates
+    ]
+    cells: Dict[Tuple[int, str], List[_Estimate]] = {}
+    for estimates in reps if aggregate else ():
+        for e in estimates:
+            cells.setdefault((e.m, e.estimator), []).append(e)
+    for (m, estimator), cell in cells.items():
+        mean, failures, bias, var, mse = _aggregate([e.gamma_hat for e in cell], true_gamma)
+        summary = extra
+        if config.experiment == "BootstrapCoverage":  # share of successes whose CI covers
+            ok = len(cell) - failures
+            coverage = sum(e.covered for e in cell) / ok if ok else float("nan")
+            level, boot_reps = BOOT_LEVEL_DEFAULT, BOOT_REPS_DEFAULT
+            summary = f"coverage={_fmt(coverage)};level={level:g};boot_reps={boot_reps}"
+        rows.append(
+            ResultRow(
+                config.experiment, label, n, m, cell[0].k, "agg", estimator,
+                mean, failures, bias, var, mse, summary,
+            )
+        )
     return rows
+
+
+def _sweep(
+    config: ExperimentConfig, spec: dist.DistributionSpec, per_rep: bool,
+    path: Tuple[int, ...] = (), extra: str = "",
+) -> List[ResultRow]:
+    """``config.reps`` replications from ``spec``, as rows."""
+    work = partial(_replication, config, spec, path)
+    reps = _map_reps(work, range(config.reps), config.effective_threads())
+    return _rows(config, spec.label, config.n, reps, extra, per_rep, True, spec.true_gamma)
 
 
 def run_mse_sweep(config: ExperimentConfig, per_rep: bool = False) -> List[ResultRow]:
     """Bias/variance/MSE of both estimators over the block-size grid."""
-    spec = dist.make_spec(config.family, config.params)
-    return _paired_sweep(config, spec, (), "", per_rep)
+    return _sweep(config, dist.make_spec(config.family, config.params), per_rep)
 
 
 def run_bias_burr(config: ExperimentConfig, per_rep: bool = False) -> List[ResultRow]:
@@ -326,16 +340,16 @@ def run_bias_burr(config: ExperimentConfig, per_rep: bool = False) -> List[Resul
     rows: List[ResultRow] = []
     for rho_idx, rho in enumerate(config.params[1:]):
         spec = dist.burr_from_gamma_rho(gamma, rho)
-        rows.extend(_paired_sweep(config, spec, (rho_idx,), f"rho={rho:g}", per_rep))
+        rows.extend(_sweep(config, spec, per_rep, (rho_idx,), f"rho={rho:g}"))
     return rows
 
 
-def _variance_gamma_worker(args):
-    gamma, n, m, reps, seed, gi = args
-    return sigma2_kvar_mc(gamma, n, m, reps, dist.RngStream(seed, gi))
+def _variance_gamma(config: ExperimentConfig, gi: int):
+    rng = dist.RngStream(config.master_seed, gi)
+    return sigma2_kvar_mc(config.params[gi], config.n, config.m_grid[0], config.reps, rng)
 
 
-def run_variance_table(config: ExperimentConfig) -> List[ResultRow]:
+def run_variance_table(config: ExperimentConfig, per_rep: bool = False) -> List[ResultRow]:
     """k * var of the Pickands estimator per gamma; params = the gamma grid.
 
     Gamma number gi draws from stream (master_seed, gi), so the rows do not
@@ -343,11 +357,8 @@ def run_variance_table(config: ExperimentConfig) -> List[ResultRow]:
     the normalized GP ML comparison value (1+gamma)^2/3.
     """
     m = config.m_grid[0]
-    args = [
-        (gamma, config.n, m, config.reps, config.master_seed, gi)
-        for gi, gamma in enumerate(config.params)
-    ]
-    ests = _map_reps(_variance_gamma_worker, args, config.effective_threads())
+    work = partial(_variance_gamma, config)
+    ests = _map_reps(work, range(len(config.params)), config.effective_threads())
     rows: List[ResultRow] = []
     for gamma, est in zip(config.params, ests):
         label = dist.gp(gamma).label
@@ -368,89 +379,35 @@ def run_variance_table(config: ExperimentConfig) -> List[ResultRow]:
     return rows
 
 
-def run_trajectory(config: ExperimentConfig) -> List[ResultRow]:
+def run_trajectory(config: ExperimentConfig, per_rep: bool = False) -> List[ResultRow]:
     """Single-sample trajectories of both estimators over the m grid."""
     if config.family.startswith("file:"):
         sample = read_sample_file(config.family[len("file:"):])
         label = config.family
-        true_gamma = None
+        extra = ""
     else:
         spec = dist.make_spec(config.family, config.params)
         sample = dist.sample(spec, config.n, dist.RngStream(config.master_seed, 0))
         label = spec.label
-        true_gamma = spec.true_gamma
+        extra = f"true_gamma={spec.true_gamma:g}"
     n = sample.n
     m_grid = [m for m in config.m_grid if 3 <= m <= n]
     if not m_grid:
         raise BlockSizeOutOfRange(f"m_grid has no entries in [3, n={n}]")
-    extra = "" if true_gamma is None else f"true_gamma={true_gamma:g}"
-    return _rep_rows(config, label, n, 0, _pickands_and_gpml(sample, m_grid), extra)
-
-
-def _coverage_rep_worker(args):
-    spec, n, m_grid, boot_reps, level, seed, r = args
-    sample = dist.sample(spec, n, dist.RngStream(seed, r))
-    out = []
-    for mi, m in enumerate(m_grid):
-        try:
-            boot = parametric_bootstrap(
-                sample, m, boot_reps, level, dist.RngStream(seed, r, (1, mi))
-            )
-            out.append((m, boot.gamma_hat, boot.ci_low, boot.ci_high, boot.dropped, 0))
-        except TailInferenceError:
-            out.append((m, float("nan"), float("nan"), float("nan"), 0, 1))
-    return out
+    return _rows(config, label, n, [_pickands_and_gpml(sample, m_grid)], extra, True, False)
 
 
 def run_bootstrap_coverage(config: ExperimentConfig, per_rep: bool = False) -> List[ResultRow]:
     """Nominal-vs-realized CI coverage of the parametric bootstrap."""
-    spec = dist.make_spec(config.family, config.params)
-    if spec.true_gamma is None:
-        raise ValueError("BootstrapCoverage needs a distribution with known gamma")
-    boot_reps, level = BOOT_REPS_DEFAULT, BOOT_LEVEL_DEFAULT
-    args = [
-        (spec, config.n, config.m_grid, boot_reps, level, config.master_seed, r)
-        for r in range(config.reps)
-    ]
-    per_rep_rows = _map_reps(_coverage_rep_worker, args, config.effective_threads())
-
-    rows: List[ResultRow] = []
-    if per_rep:
-        for r, cells in enumerate(per_rep_rows):
-            for m, gamma_hat, lo, hi, dropped, failed in cells:
-                covered = int(failed == 0 and lo <= spec.true_gamma <= hi)
-                extra = f"ci_low={_fmt(lo)};ci_high={_fmt(hi)};covered={covered};dropped={dropped}"
-                rows.append(
-                    ResultRow(
-                        config.experiment, spec.label, config.n, m,
-                        paired_k(config.n, m), str(r), "ExtremePickands",
-                        gamma_hat, failed,
-                        float("nan"), float("nan"), float("nan"), extra,
-                    )
-                )
-    for mi, m in enumerate(config.m_grid):
-        cells = [c for rep in per_rep_rows for c in rep if c[0] == m]
-        ests = [c[1] for c in cells]
-        ok = [c for c in cells if c[5] == 0]
-        covered = sum(1 for c in ok if c[2] <= spec.true_gamma <= c[3])
-        coverage = covered / len(ok) if ok else float("nan")
-        mean, failures, bias, var, mse = _aggregate(ests, spec.true_gamma)
-        extra = f"coverage={_fmt(coverage)};level={level:g};boot_reps={boot_reps}"
-        rows.append(
-            ResultRow(
-                config.experiment, spec.label, config.n, m, paired_k(config.n, m),
-                "agg", "ExtremePickands", mean, failures, bias, var, mse, extra,
-            )
-        )
-    return rows
+    return _sweep(config, dist.make_spec(config.family, config.params), per_rep)
 
 
 # experiment name -> runner(config, per_rep)
 _RUNNERS = {
     "MseSweep": run_mse_sweep,
     "BiasBurr": run_bias_burr,
-    "VarianceTable": lambda config, per_rep: run_variance_table(config),
-    "Trajectory": lambda config, per_rep: run_trajectory(config),
+    "VarianceTable": run_variance_table,
+    "Trajectory": run_trajectory,
     "BootstrapCoverage": run_bootstrap_coverage,
 }
 

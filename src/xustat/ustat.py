@@ -366,6 +366,8 @@ def pickands_ustat(sample: SortedSample, m: int) -> float:
     The exactly rounded U = sum_j w_j s_j, a batch of one row
     (:func:`pickands_ustat_batch`); a tie raises DegenerateSpacing.
     """
+    if not 3 <= m <= sample.n:
+        raise BlockSizeOutOfRange(f"need 3 <= m <= n, got m={m}, n={sample.n}")
     _require_decreasing(sample.values, sample.n - m + 3)
     return float(pickands_ustat_batch(sample.values[None], m)[0])
 

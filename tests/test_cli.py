@@ -56,6 +56,13 @@ class TestEstimate:
         assert code == 1
         assert "m" in err
 
+    @pytest.mark.parametrize("command", ["estimate", "bootstrap"])
+    def test_m_above_n_is_data_error(self, capsys, sample_file, command):
+        code, out, err = run_cli(capsys, command, "--input", sample_file, "--m", "6")
+        lines = err.splitlines()
+        assert code == 2 and out == ""
+        assert len(lines) == 1 and lines[0].startswith("error: BlockSizeOutOfRange")
+
     def test_ties_are_data_error(self, capsys, tmp_path):
         path = tmp_path / "ties.txt"
         path.write_text("7\n7\n7\n")

@@ -425,19 +425,19 @@ class TestPairedComparison:
     def test_records(self):
         s = dist.sample(dist.gp(0.5), 400, dist.RngStream(8, 0))
         pick, gpml = _pickands_and_gpml(s, [12])
-        assert pick[:3] == (12, 100, "ExtremePickands")
-        assert gpml[:3] == (12, 100, "GpMl")
-        assert pick[4] == gpml[4] == 0
-        assert math.isfinite(pick[3]) and math.isfinite(gpml[3])
+        assert (pick.m, pick.k, pick.estimator) == (12, 100, "ExtremePickands")
+        assert (gpml.m, gpml.k, gpml.estimator) == (12, 100, "GpMl")
+        # neither failed: a failure is a non-finite estimate
+        assert math.isfinite(pick.gamma_hat) and math.isfinite(gpml.gamma_hat)
 
     def test_small_k_guard(self):
         s = dist.sample(dist.gp(0.5), 100, dist.RngStream(9, 0))
         _, gpml = _pickands_and_gpml(s, [99])  # k = 3 < 5 excesses
-        assert gpml[2] == "GpMl" and gpml[4] == 1 and math.isnan(gpml[3])
+        assert gpml.estimator == "GpMl" and math.isnan(gpml.gamma_hat)
 
     def test_location_scale_invariance_end_to_end(self):
         s = dist.sample(dist.gp(0.2), 300, dist.RngStream(10, 0))
         pick, _ = _pickands_and_gpml(s, [10])
         moved = sort_sample(100.0 * s.values - 50.0)
         pick2, _ = _pickands_and_gpml(moved, [10])
-        assert pick2[3] == pytest.approx(pick[3], abs=1e-9)
+        assert pick2.gamma_hat == pytest.approx(pick.gamma_hat, abs=1e-9)

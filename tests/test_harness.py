@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from xustat import dist
-from xustat.core import sort_sample
 from xustat.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -22,7 +21,6 @@ from xustat.harness import (
     run_trajectory,
     run_variance_table,
     write_csv,
-    _pickands_and_gpml,
 )
 
 CONFIG_TEXT = """
@@ -96,6 +94,14 @@ class TestConfigParsing:
             ExperimentConfig(
                 experiment=experiment, family=family, params=params, n=100,
                 reps=1, m_grid=(10,), master_seed=1, out="x.csv", threads=1,
+            )
+
+    def test_variance_table_takes_one_block_size(self):
+        # it runs one m per gamma; a second m would be dropped without a word
+        with pytest.raises(ValueError, match="one block size"):
+            ExperimentConfig(
+                experiment="VarianceTable", family="GP", params=(0.5,), n=100,
+                reps=1, m_grid=(6, 30), master_seed=1, out="x.csv", threads=1,
             )
 
     def test_load_config_from_file(self, tmp_path):
@@ -284,12 +290,17 @@ class TestTrajectory:
 
 
 class TestFailureAccounting:
-    def test_ties_are_recorded_not_raised(self):
-        sample = sort_sample([5.0, 5.0, 3.0, 2.0, 1.0, 0.5] + list(range(10, 30)))
-        cells = _pickands_and_gpml(sample, [3])
-        by_est = {c[2]: c for c in cells}
-        assert by_est["ExtremePickands"][4] == 1  # tie at the top: failed
-        assert math.isnan(by_est["ExtremePickands"][3])
+    def test_ties_are_recorded_not_raised(self, tmp_path):
+        values = [5.0, 5.0, 3.0, 2.0, 1.0, 0.5] + list(range(10, 30))
+        path = tmp_path / "ties.txt"
+        path.write_text("\n".join(map(repr, values)) + "\n")
+        config = _config(
+            tmp_path, experiment="Trajectory", family=f"file:{path}", params=(),
+            n=0, reps=1, m_grid=(3,),
+        )
+        by_est = {r.estimator: r for r in run_trajectory(config)}
+        assert by_est["ExtremePickands"].failed == 1  # tie at the top: failed
+        assert math.isnan(by_est["ExtremePickands"].gamma_hat)
 
     def test_aggregate_counts_failures(self, tmp_path):
         # Pickands at m=3 touches every order statistic; a tie in one
@@ -297,6 +308,18 @@ class TestFailureAccounting:
         config = _config(tmp_path, n=60, reps=4, m_grid=(3,))
         rows = run_mse_sweep(config)
         assert all(r.failed == 0 for r in rows)
+
+
+class TestPerRepLayout:
+    @pytest.mark.parametrize("name", ["mse", "bias_burr", "bootstrap", "trajectory"])
+    def test_per_rep_csv_matches_pinned_bytes(self, tmp_path, name):
+        # per-replication rows in replication order, then the aggregates: at
+        # m = 59 of the MseSweep GpMl fails (3 < 5 excesses), the BiasBurr
+        # sweep covers two rho and the bootstrap has uncovered replications
+        data = pathlib.Path(__file__).resolve().parent / "data"
+        config = load_config(str(data / f"per_rep_{name}.cfg"))
+        out = run_to_csv(replace(config, out=str(tmp_path / "out.csv")), per_rep=True)
+        assert open(out, "rb").read() == (data / f"per_rep_{name}.csv").read_bytes()
 
 
 class TestCommittedResults:

@@ -202,6 +202,12 @@ class TestPickandsUstat:
         s = sort_sample([4, 3, 1, 0])
         assert pickands_ustat(s, 3) == pytest.approx(FOUR_POINT_VALUE, rel=1e-13)
 
+    @pytest.mark.parametrize("m", [5, 6, 7, 9, 10])
+    def test_block_size_above_n_is_out_of_range(self, m):
+        # the range check runs before the tie scan, which has no spacings here
+        with pytest.raises(BlockSizeOutOfRange):
+            pickands_ustat(sort_sample([4, 3, 1, 0]), m)
+
     def test_m_equals_n_is_top3_kernel(self):
         s = sort_sample([9.0, 5.5, 2.0, 1.0, 0.5])
         assert pickands_ustat(s, 5) == pytest.approx(
@@ -474,6 +480,16 @@ class TestTracedCallPaths:
         # the tracer's fit counter reads these two fields
         for fit in fits:
             assert isinstance(fit.iterations, int) and isinstance(fit.converged, bool)
+
+    def test_coverage_replication_reaches_parametric_bootstrap_by_name(self, monkeypatch):
+        boots = self._count(monkeypatch, "parametric_bootstrap", harness)
+        config = harness.parse_config(
+            "experiment = BootstrapCoverage\nfamily = GP\nparams = 0.5\nn = 300\n"
+            "reps = 1\nm_grid = 10,20\nseed = 28\nout = x.csv\n"
+        )
+        harness._replication(config, dist.gp(0.5), (), 0)
+        # the tracer's bootstrap counter reads these two fields
+        assert [(b.boot_reps, b.dropped) for b in boots] == [(200, 0), (200, 0)]
 
     @pytest.mark.parametrize(
         "module,public",
