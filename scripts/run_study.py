@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run the finite-sample study end to end and drop CSVs under results/.
 
-Desk scale by default; --scale full switches to the full-scale configs
-(n = 10^4, study replication counts) and takes correspondingly longer.
+Desk scale by default runs every configs/*.cfg; --scale full runs every
+configs/full_scale/*.cfg (n = 10^4, study replication counts) and takes
+correspondingly longer.  There is no full-scale BootstrapCoverage config.
 """
 
 import argparse
@@ -12,20 +13,6 @@ import time
 
 from xustat import harness
 
-DESK = [
-    "mse_gp05.cfg",
-    "variance_table.cfg",
-    "bias_burr.cfg",
-    "trajectory_student_t4.cfg",
-    "bootstrap_coverage.cfg",
-]
-FULL = [
-    "full_scale/mse_gp05.cfg",
-    "full_scale/variance_table.cfg",
-    "full_scale/bias_burr.cfg",
-    "full_scale/trajectory_student_t4.cfg",
-]
-
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
@@ -34,17 +21,18 @@ def main() -> int:
     parser.add_argument(
         "--configs",
         default=None,
-        help="comma list of config names to run (default: all for the scale)",
+        help="comma list of config names under configs/ to run (default: all for the scale)",
     )
     args = parser.parse_args()
 
-    root = pathlib.Path(__file__).resolve().parent.parent
-    names = DESK if args.scale == "desk" else FULL
+    configs = pathlib.Path(__file__).resolve().parent.parent / "configs"
+    scale_dir = configs if args.scale == "desk" else configs / "full_scale"
+    names = [str(p.relative_to(configs)) for p in sorted(scale_dir.glob("*.cfg"))]
     if args.configs:
         names = [c.strip() for c in args.configs.split(",")]
 
     for name in names:
-        config = harness.load_config(str(root / "configs" / name))
+        config = harness.load_config(str(configs / name))
         if args.threads is not None:
             from dataclasses import replace
 

@@ -26,6 +26,7 @@ from .dist import RngStream, h_gamma
 from .ustat import pickands_ustat, pickands_ustat_batch
 
 _EULER_GAMMA = 0.5772156649015328606
+_SIGMA2_BATCHES = 20  # sigma2_integral_mc: batches whose spread gives its stderr
 
 
 @dataclass(frozen=True)
@@ -150,8 +151,10 @@ def bias_bk_mc(gamma: float, rho: float, reps: int, rng: RngStream) -> BiasEstim
     H_{gamma,rho} at the Pareto points, and scales by the Erlang moment
     E[S_3^(-rho)] = Gamma(3 - rho)/Gamma(3).
     """
-    if rho >= 0.0:
+    if not rho < 0.0:
         raise ArgumentOutOfRange("need rho < 0")
+    if not math.isfinite(gamma):
+        raise ArgumentOutOfRange("need a finite gamma")
     if reps < 10_000:
         raise ArgumentOutOfRange("need at least 1e4 replications")
     g = rng.generator()
@@ -248,7 +251,6 @@ def sigma2_integral_mc(
     inner_reps: int = 200_000,
     quad_nodes: int = 128,
     rng: Optional[RngStream] = None,
-    batches: int = 20,
 ) -> VarianceEstimate:
     """Quadrature of the squared inner expectation defining sigma2.
 
@@ -272,10 +274,10 @@ def sigma2_integral_mc(
     weight = 0.5 * wq / (1.0 - t) ** 2
     x_nodes = t / (1.0 - t)
 
-    per_batch = max(inner_reps // batches, 2)
+    per_batch = max(inner_reps // _SIGMA2_BATCHES, 2)
     half = per_batch // 2
-    vals = np.empty(batches)
-    for bi in range(batches):
+    vals = np.empty(_SIGMA2_BATCHES)
+    for bi in range(_SIGMA2_BATCHES):
         z = h_gamma(gamma, 1.0 / (1.0 - g.random((per_batch, 2))))
         z22 = np.maximum(z[:, 0], z[:, 1])
         z12 = np.minimum(z[:, 0], z[:, 1])
@@ -289,7 +291,7 @@ def sigma2_integral_mc(
             means_b[i] = d[half:].mean()
         vals[bi] = float(np.sum(weight * means_a * means_b))
     sigma2 = float(vals.mean())
-    stderr = float(vals.std(ddof=1)) / math.sqrt(batches)
+    stderr = float(vals.std(ddof=1)) / math.sqrt(_SIGMA2_BATCHES)
     return VarianceEstimate(
         gamma=gamma,
         sigma2=max(sigma2, 0.0),

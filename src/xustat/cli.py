@@ -7,6 +7,7 @@ stdout is machine-parseable key=value lines; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from typing import List, Optional
@@ -39,6 +40,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise CliUsageError(message)
+
+
+def _seed(text: str) -> int:
+    """The ``--seed`` type: an integer literal in any base ``int(text, 0)``
+    reads; RNG streams take no negative seed."""
+    seed = int(text, 0)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return seed
 
 
 def _cmd_estimate(args) -> int:
@@ -77,8 +87,6 @@ def _cmd_simulate(args) -> int:
         raise TailInferenceError(f"cannot read config: {exc}") from exc
     except ValueError as exc:
         raise CliUsageError(f"bad config: {exc}") from exc
-    if args.full_scale:
-        config = harness.rescale_to_full(config)
     if args.threads is not None:
         from dataclasses import replace
 
@@ -94,14 +102,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_variance_table(args) -> int:
-    gammas = harness.parse_params(args.gammas)
-    if not gammas:
+    if not args.gammas:
         raise CliUsageError("--gammas must list at least one value")
     if args.m < 3 or args.m > args.n:
         raise CliUsageError("need 3 <= m <= n")
     if args.reps < 100:
         raise CliUsageError("--reps must be at least 100")
-    for gi, gamma in enumerate(gammas):
+    for gi, gamma in enumerate(args.gammas):
         est = asymptotics.sigma2_kvar_mc(
             gamma, args.n, args.m, args.reps, dist.RngStream(args.seed, gi)
         )
@@ -113,14 +120,15 @@ def _cmd_variance_table(args) -> int:
 
 
 def _cmd_bias(args) -> int:
-    rhos = harness.parse_params(args.rhos)
-    if not rhos:
+    if not args.rhos:
         raise CliUsageError("--rhos must list at least one value")
-    if any(r >= 0 for r in rhos):
+    if not math.isfinite(args.gamma):
+        raise CliUsageError("--gamma must be finite")
+    if any(r >= 0 for r in args.rhos):
         raise CliUsageError("every rho must be negative")
     if args.reps < 10_000:
         raise CliUsageError("--reps must be at least 10000")
-    for ri, rho in enumerate(rhos):
+    for ri, rho in enumerate(args.rhos):
         est = asymptotics.bias_bk_mc(
             args.gamma, rho, args.reps, dist.RngStream(args.seed, ri)
         )
@@ -224,7 +232,7 @@ def build_parser() -> _Parser:
     p.add_argument("--bootstrap", dest="boot_reps", type=int, default=None, metavar="B",
                    help="bootstrap replications for a CI (>= 200)")
     p.add_argument("--level", type=float, default=0.95, help="CI level (default 0.95)")
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED,
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
                    help="master seed (default fixed constant)")
     p.set_defaults(func=_cmd_estimate)
 
@@ -238,25 +246,25 @@ def build_parser() -> _Parser:
     p.add_argument("--config", required=True, help="flat key=value config file")
     p.add_argument("--per-rep", action="store_true",
                    help="also write per-replication rows")
-    p.add_argument("--full-scale", action="store_true",
-                   help="rescale to n=10^4 and the study's replication count")
     p.add_argument("--threads", type=int, default=None,
                    help="override the config thread count")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("variance-table", help="asymptotic variance over a gamma grid")
-    p.add_argument("--gammas", required=True, help="comma-separated gamma values")
+    p.add_argument("--gammas", type=harness.parse_params, required=True,
+                   help="comma-separated gamma values")
     p.add_argument("--n", type=int, default=2000)
     p.add_argument("--m", type=int, default=20)
     p.add_argument("--reps", type=int, default=1000)
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_variance_table)
 
     p = sub.add_parser("bias", help="asymptotic bias constant over a rho grid")
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--rhos", required=True, help="comma-separated negative rho values")
+    p.add_argument("--rhos", type=harness.parse_params, required=True,
+                   help="comma-separated negative rho values")
     p.add_argument("--reps", type=int, default=200_000)
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_bias)
 
     p = sub.add_parser("bootstrap", help="parametric bootstrap CI for a sample file")
@@ -264,11 +272,11 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--boot-reps", type=int, default=200)
     p.add_argument("--level", type=float, default=0.95)
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_bootstrap)
 
     p = sub.add_parser("oracle-check", help="run the numeric self-check suite")
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--inject-error", action="store_true",
                    help="perturb the fast formula to demonstrate failure detection")
     p.set_defaults(func=_cmd_oracle_check)

@@ -12,7 +12,7 @@ import csv
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields
 from functools import partial
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -50,6 +50,10 @@ class ExperimentConfig:
             raise ValueError("reps must be >= 1")
         if not self.m_grid:
             raise ValueError("m_grid must not be empty")
+        if len(set(self.m_grid)) != len(self.m_grid):
+            raise ValueError("m_grid repeats a block size")
+        if self.master_seed < 0:
+            raise ValueError("seed must be >= 0")
         if not self.family.startswith("file:"):
             for m in self.m_grid:
                 if not 3 <= m <= self.n:
@@ -143,10 +147,14 @@ def parse_m_grid(text: str) -> Tuple[int, ...]:
 
 
 def parse_params(text: str) -> Tuple[float, ...]:
+    """Comma list of finite floats; an empty text is the empty tuple."""
     text = text.strip()
     if not text:
         return ()
-    return tuple(float(p) for p in text.split(","))
+    params = tuple(float(p) for p in text.split(","))
+    if not all(map(math.isfinite, params)):
+        raise ValueError(f"non-finite value in {text!r}")
+    return params
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -187,14 +195,6 @@ def parse_config(text: str) -> ExperimentConfig:
 def load_config(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
-
-
-def rescale_to_full(config: ExperimentConfig) -> ExperimentConfig:
-    """Full-scale variant: n = 10^4 with the study's replication counts."""
-    reps = 100 if config.experiment in ("MseSweep", "Trajectory") else 1000
-    if config.experiment == "BootstrapCoverage":
-        reps = config.reps
-    return replace(config, n=10_000, reps=reps)
 
 
 def _map_reps(worker: Callable, args: Sequence, threads: int) -> List:

@@ -180,6 +180,12 @@ class TestBiasConstant:
         with pytest.raises(ArgumentOutOfRange):
             bias_bk_mc(0.5, -1.0, 100, _stream())
 
+    @pytest.mark.parametrize("gamma,rho", [(0.5, math.nan), (math.nan, -1.0), (math.inf, -1.0)])
+    def test_non_finite_arguments_rejected(self, gamma, rho):
+        # a NaN passes `rho >= 0` and would come back as b_k = nan
+        with pytest.raises(ArgumentOutOfRange):
+            bias_bk_mc(gamma, rho, 20_000, _stream())
+
 
 class TestSigma2Routes:
     def test_kvar_smoke(self):

@@ -265,6 +265,48 @@ class TestSimulate:
         assert code == 2
         assert "error: BlockSizeOutOfRange: m_grid has no entries" in err
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("seed = 99", "seed = -1", "seed must be >= 0"),
+            ("m_grid = 3,8", "m_grid = 8,8", "m_grid repeats a block size"),
+            ("params = 0.5", "params = nan", "non-finite value"),
+        ],
+    )
+    def test_unusable_config_value_is_usage_error(self, capsys, tmp_path, old, new, message):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(CONFIG.format(out=tmp_path / "o.csv").replace(old, new))
+        code, stdout, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert (code, stdout) == (1, "")
+        assert err.startswith(f"error: bad config: {message}") and err.count("\n") == 1
+
+
+class TestInputChecks:
+    """Flag values no run can use exit 1 with one ``error:`` line, before any work."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("estimate", "--input", "{sample}", "--m", "3", "--seed", "-1"),
+            ("estimate", "--input", "{sample}", "--m", "3", "--bootstrap", "200", "--seed", "-1"),
+            ("bootstrap", "--input", "{sample}", "--m", "3", "--seed", "-1"),
+            ("variance-table", "--gammas", "0.0", "--seed", "-1"),
+            ("bias", "--gamma", "0.5", "--rhos", "-1", "--seed", "-1"),
+            ("oracle-check", "--seed", "-5"),
+            ("variance-table", "--gammas", "abc"),
+            ("variance-table", "--gammas", "nan"),
+            ("variance-table", "--gammas", "0.5,inf"),
+            ("bias", "--gamma", "0.5", "--rhos=-1,x"),
+            ("bias", "--gamma", "0.5", "--rhos=nan"),
+            ("bias", "--gamma", "nan", "--rhos", "-1"),
+        ],
+    )
+    def test_unusable_flag_is_usage_error(self, capsys, sample_file, argv):
+        argv = [a.format(sample=sample_file) for a in argv]
+        code, stdout, err = run_cli(capsys, *argv)
+        assert (code, stdout) == (1, "")
+        assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+
 
 class TestVarianceTableCmd:
     def test_smoke(self, capsys):

@@ -13,7 +13,6 @@ from xustat.harness import (
     load_config,
     parse_config,
     parse_m_grid,
-    rescale_to_full,
     run_bias_burr,
     run_experiment,
     run_mse_sweep,
@@ -104,6 +103,12 @@ class TestConfigParsing:
                 reps=1, m_grid=(6, 30), master_seed=1, out="x.csv", threads=1,
             )
 
+    def test_repeated_block_size_rejected(self, tmp_path):
+        # a repeat would pool every replication twice into one aggregate
+        with pytest.raises(ValueError, match="repeats a block size"):
+            parse_config(CONFIG_TEXT.format(out=tmp_path / "o.csv", threads=1).replace(
+                "m_grid = 3,10", "m_grid = 10,3..10"))
+
     def test_load_config_from_file(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text(CONFIG_TEXT.format(out=tmp_path / "o.csv", threads=2))
@@ -134,10 +139,6 @@ class TestConfigParsing:
             "reps = 2\nm_grid = 3\nseed = 1\nout = x.csv\nthreads = auto\n"
         )
         assert config.threads == 0 and config.effective_threads() >= 1
-
-    def test_rescale_to_full(self, tmp_path):
-        full = rescale_to_full(_config(tmp_path))
-        assert full.n == 10_000 and full.reps == 100
 
 
 class TestMseSweep:
