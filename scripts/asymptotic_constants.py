@@ -13,16 +13,18 @@ from xustat import asymptotics, dist, harness
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--gammas", default="-0.5,-0.25,0,0.25,0.5")
-    parser.add_argument("--rhos", default="-2,-1,-0.5,-0.25")
+    parser.add_argument("--gammas", type=harness.parse_params, default="-0.5,-0.25,0,0.25,0.5")
+    parser.add_argument("--rhos", type=harness.parse_params, default="-2,-1,-0.5,-0.25")
     parser.add_argument("--bias-gamma", type=float, default=0.5)
     parser.add_argument("--n", type=int, default=4000)
     parser.add_argument("--m", type=int, default=40)
     parser.add_argument("--reps", type=int, default=500)
     parser.add_argument("--seed", type=lambda s: int(s, 0), default=20260809)
     args = parser.parse_args()
+    if args.seed < 0:
+        parser.error("argument --seed: must be >= 0")
 
-    for gi, gamma in enumerate(harness.parse_params(args.gammas)):
+    for gi, gamma in enumerate(args.gammas):
         kvar = asymptotics.sigma2_kvar_mc(
             gamma, args.n, args.m, args.reps, dist.RngStream(args.seed, gi)
         )
@@ -33,7 +35,7 @@ def main() -> int:
             f"gamma={gamma:g} sigma2_kvar={kvar.sigma2!r} kvar_stderr={kvar.stderr!r} "
             f"sigma2_integral={integ.sigma2!r} integral_stderr={integ.stderr!r}"
         )
-    for ri, rho in enumerate(harness.parse_params(args.rhos)):
+    for ri, rho in enumerate(args.rhos):
         bk = asymptotics.bias_bk_mc(
             args.bias_gamma, rho, 200_000, dist.RngStream(args.seed, ri, (2,))
         )

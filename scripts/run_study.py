@@ -31,8 +31,14 @@ def main() -> int:
     if args.configs:
         names = [c.strip() for c in args.configs.split(",")]
 
+    loaded = []  # every config is read before the first run starts
     for name in names:
-        config = harness.load_config(str(configs / name))
+        try:
+            loaded.append((name, harness.load_config(str(configs / name))))
+        except (OSError, ValueError) as exc:
+            print(f"error: {name}: {exc}", file=sys.stderr)
+            return 1
+    for name, config in loaded:
         if args.threads is not None:
             from dataclasses import replace
 

@@ -31,13 +31,9 @@ _SIGMA2_BATCHES = 20  # sigma2_integral_mc: batches whose spread gives its stder
 
 @dataclass(frozen=True)
 class VarianceEstimate:
-    gamma: float
     sigma2: float
     reps: int
-    n: int
-    m: int
     stderr: float
-    method: str  # "KVarMc" or "IntegralMc"
 
     def __post_init__(self):
         if self.sigma2 < 0 or self.stderr < 0:
@@ -46,11 +42,8 @@ class VarianceEstimate:
 
 @dataclass(frozen=True)
 class BiasEstimate:
-    gamma: float
-    rho: float
     b_k: float
     stderr: float
-    reps: int
 
 
 def h_gamma_rho(x, gamma: float, rho: float):
@@ -126,16 +119,13 @@ def digamma_moments(gamma: float) -> DigammaMoments:
         a1 = float(digamma(1.0 / gamma))
         a2 = float(digamma(2.0 / gamma))
         lg = math.log(1.0 / gamma)
-        e_ln_z = lg + psi1 - a1
-        e_ln_z22 = lg + psi1 + a2 - 2.0 * a1
-        e_ln_z12 = lg + psi1 - a2
     else:
         a1 = float(digamma(1.0 - 1.0 / gamma))
         a2 = float(digamma(1.0 - 2.0 / gamma))
         lg = math.log(-1.0 / gamma)
-        e_ln_z = lg + psi1 - a1
-        e_ln_z22 = lg + psi1 + a2 - 2.0 * a1
-        e_ln_z12 = lg + psi1 - a2
+    e_ln_z = lg + psi1 - a1
+    e_ln_z22 = lg + psi1 + a2 - 2.0 * a1
+    e_ln_z12 = lg + psi1 - a2
     diff = a2 - a1
     u1 = 0.5 * gamma + diff
     u2 = 2.0 * diff
@@ -170,11 +160,8 @@ def bias_bk_mc(gamma: float, rho: float, reps: int, rng: RngStream) -> BiasEstim
     w = gp * ((h22 - h12) / (x1 - x2) - h12 / x2)
     scale = erlang_neg_rho_moment(rho, 3)
     return BiasEstimate(
-        gamma=gamma,
-        rho=rho,
         b_k=scale * float(w.mean()),
         stderr=scale * float(w.std(ddof=1)) / math.sqrt(reps),
-        reps=reps,
     )
 
 
@@ -220,13 +207,9 @@ def sigma2_kvar_mc(
     mu4 = float(np.mean(centered**4))
     var_s2 = max(0.0, (mu4 - s2 * s2 * (r - 3) / (r - 1)) / r)
     return VarianceEstimate(
-        gamma=gamma,
         sigma2=k * s2,
         reps=r,
-        n=n,
-        m=m,
         stderr=k * math.sqrt(var_s2),
-        method="KVarMc",
     )
 
 
@@ -293,13 +276,9 @@ def sigma2_integral_mc(
     sigma2 = float(vals.mean())
     stderr = float(vals.std(ddof=1)) / math.sqrt(_SIGMA2_BATCHES)
     return VarianceEstimate(
-        gamma=gamma,
         sigma2=max(sigma2, 0.0),
         reps=inner_reps,
-        n=0,
-        m=0,
         stderr=stderr,
-        method="IntegralMc",
     )
 
 
@@ -309,7 +288,6 @@ class BootstrapOutcome:
     stderr: float
     ci_low: float
     ci_high: float
-    level: float
     boot_reps: int
     dropped: int
 
@@ -346,7 +324,6 @@ def parametric_bootstrap(
         stderr=sd,
         ci_low=point - zq * sd,
         ci_high=point + zq * sd,
-        level=level,
         boot_reps=boot_reps,
         dropped=dropped,
     )

@@ -70,6 +70,16 @@ class ExperimentConfig:
                 raise ValueError("VarianceTable params must list the gamma grid")
             if len(self.m_grid) != 1:
                 raise ValueError("VarianceTable takes one block size in m_grid")
+            if self.reps < 100:
+                raise ValueError("VarianceTable needs reps >= 100")
+        try:  # a family or parameter no sampler takes is a bad config, not a data error
+            if self.experiment == "BiasBurr":
+                for rho in self.params[1:]:
+                    dist.burr_from_gamma_rho(self.params[0], rho)
+            elif self.experiment != "VarianceTable" and not self.family.startswith("file:"):
+                dist.make_spec(self.family, self.params)
+        except TailInferenceError as exc:
+            raise ValueError(str(exc)) from exc
 
     def effective_threads(self) -> int:
         return self.threads if self.threads > 0 else (os.cpu_count() or 1)
@@ -330,7 +340,8 @@ def _sweep(
 
 
 def run_mse_sweep(config: ExperimentConfig, per_rep: bool = False) -> List[ResultRow]:
-    """Bias/variance/MSE of both estimators over the block-size grid."""
+    """Bias/variance/MSE of both estimators over the block-size grid; for a
+    BootstrapCoverage config, the CI coverage of the parametric bootstrap."""
     return _sweep(config, dist.make_spec(config.family, config.params), per_rep)
 
 
@@ -397,18 +408,13 @@ def run_trajectory(config: ExperimentConfig, per_rep: bool = False) -> List[Resu
     return _rows(config, label, n, [_pickands_and_gpml(sample, m_grid)], extra, True, False)
 
 
-def run_bootstrap_coverage(config: ExperimentConfig, per_rep: bool = False) -> List[ResultRow]:
-    """Nominal-vs-realized CI coverage of the parametric bootstrap."""
-    return _sweep(config, dist.make_spec(config.family, config.params), per_rep)
-
-
 # experiment name -> runner(config, per_rep)
 _RUNNERS = {
     "MseSweep": run_mse_sweep,
     "BiasBurr": run_bias_burr,
     "VarianceTable": run_variance_table,
     "Trajectory": run_trajectory,
-    "BootstrapCoverage": run_bootstrap_coverage,
+    "BootstrapCoverage": run_mse_sweep,
 }
 
 

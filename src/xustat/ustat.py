@@ -71,6 +71,7 @@ from .core import (
 )
 
 _BRUTE_FORCE_MAX_N = 20
+_TOPQ_MAX_N = 2000
 _BLOCK_BUDGET = 2**16  # float64 elements per array in one row block of the kernel
 _CUT_TARGET = 2.0**-66  # absolute bound on the dropped weight tail (module docstring)
 _EXPONENT_HEADROOM = 1000  # binary orders a product may drift between renormalisations
@@ -210,9 +211,7 @@ def brute_force_ustat(sample: SortedSample, m: int, kernel: TopQKernel) -> float
     return math.fsum(terms) / len(terms)
 
 
-def topq_weighted_ustat(
-    sample: SortedSample, m: int, kernel: TopQKernel, max_n: int = 2000
-) -> float:
+def topq_weighted_ustat(sample: SortedSample, m: int, kernel: TopQKernel) -> float:
     """Rank-tuple evaluation of the same average.
 
     A size-m subset has its top q at ranks i_1 < ... < i_q exactly when it
@@ -220,8 +219,8 @@ def topq_weighted_ustat(
     n - i_q lower ranks, so the tuple weight is C(n-i_q, m-q)/C(n,m).
     """
     n = sample.n
-    if n > max_n:
-        raise InstanceTooLarge(f"rank-tuple evaluation limited to n <= {max_n}")
+    if n > _TOPQ_MAX_N:
+        raise InstanceTooLarge(f"rank-tuple evaluation limited to n <= {_TOPQ_MAX_N}")
     q = kernel.q
     if not q <= m <= n:
         raise BlockSizeOutOfRange(f"need q={q} <= m <= n, got m={m}, n={n}")

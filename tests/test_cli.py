@@ -271,6 +271,18 @@ class TestSimulate:
             ("seed = 99", "seed = -1", "seed must be >= 0"),
             ("m_grid = 3,8", "m_grid = 8,8", "m_grid repeats a block size"),
             ("params = 0.5", "params = nan", "non-finite value"),
+            ("params = 0.5", "params = 0.5,2", "family GP takes 1 parameter(s)"),
+            ("family = GP", "family = Gumbel", "unknown family 'Gumbel'"),
+            ("family = GP\nparams = 0.5", "family = StudentT\nparams = -4",
+             "degrees of freedom must be positive"),
+            ("family = GP\nparams = 0.5", "family = Burr\nparams = 2,0", "Burr parameters must be"),
+            ("family = GP\nparams = 0.5", "family = Beta\nparams = 0,1", "beta parameters must be"),
+            ("family = GP\nparams = 0.5", "family = Frechet\nparams = -1", "Frechet shape must be"),
+            ("MseSweep\nfamily = GP\nparams = 0.5", "BiasBurr\nfamily = Burr\nparams = 0.5,1",
+             "need rho < 0 and gamma > 0 for the Burr mapping"),
+            ("MseSweep\nfamily = GP\nparams = 0.5\nn = 120\nreps = 5\nm_grid = 3,8",
+             "VarianceTable\nfamily = GP\nparams = 0.5\nn = 120\nreps = 50\nm_grid = 8",
+             "VarianceTable needs reps >= 100"),
         ],
     )
     def test_unusable_config_value_is_usage_error(self, capsys, tmp_path, old, new, message):
@@ -411,3 +423,36 @@ def test_cli_import_leaves_out_scipy_special():
         check=True, timeout=120,
     ).stdout
     assert out.strip() == "False"
+
+
+def test_package_import_loads_no_submodule():
+    # the Python API is imported from its modules; the package itself re-exports nothing
+    src = os.path.dirname(os.path.dirname(os.path.abspath(xustat.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, xustat; print(sorted(m for m in sys.modules if m.startswith('xustat.')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    ).stdout
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "script, argv, code",
+    [
+        ("run_study.py", ["--configs", "nope.cfg"], 1),
+        ("asymptotic_constants.py", ["--seed", "-1"], 2),
+        ("asymptotic_constants.py", ["--gammas", "abc"], 2),
+        ("asymptotic_constants.py", ["--rhos=-1,x"], 2),
+    ],
+)
+def test_script_bad_argument_is_one_error_line(script, argv, code):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(xustat.__file__)))
+    scripts = os.path.join(os.path.dirname(src), "scripts")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, os.path.join(scripts, script), *argv], env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert "Traceback" not in proc.stderr and "error: " in proc.stderr.splitlines()[-1]

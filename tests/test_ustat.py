@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xustat import dist, estimators, harness, ustat
+from xustat import asymptotics, core, dist, estimators, harness, ustat
 from xustat.core import (
     BlockSizeOutOfRange,
     DegenerateSpacing,
@@ -192,9 +192,10 @@ class TestTopQWeighted:
             assert fast == pytest.approx(brute, rel=1e-10, abs=1e-10)
 
     def test_size_guard(self):
-        s = sort_sample(np.linspace(100, 1, 50))
+        # the guard raises before any rank tuple is enumerated
+        s = sort_sample(np.linspace(100, 1, 2001))
         with pytest.raises(InstanceTooLarge):
-            topq_weighted_ustat(s, 5, PICKANDS_KERNEL, max_n=20)
+            topq_weighted_ustat(s, 5, PICKANDS_KERNEL)
 
 
 class TestPickandsUstat:
@@ -501,6 +502,35 @@ class TestTracedCallPaths:
                     "brute_force_ustat", "log_spacing_sums", "overlap_pmf", "pickands_ustat",
                     "pickands_ustat_batch", "pickands_ustat_grid", "pickands_weights",
                     "topq_weighted_ustat",
+                },
+            ),
+            (
+                core,
+                {
+                    "pickands_g", "pickands_g_prime", "pickands_kernel", "pickands_kernel_vec",
+                    "read_sample_file", "sort_sample",
+                },
+            ),
+            (
+                dist,
+                {
+                    "beta", "burr", "burr_from_gamma_rho", "draw", "exponential", "frechet", "gp",
+                    "h_gamma", "make_spec", "normal", "pareto1", "quantile", "sample", "student_t",
+                },
+            ),
+            (
+                asymptotics,
+                {
+                    "bias_bk_mc", "digamma_moments", "erlang_neg_rho_moment", "h_gamma_rho",
+                    "parametric_bootstrap", "sigma2_integral_mc", "sigma2_kvar_mc",
+                },
+            ),
+            (
+                harness,
+                {
+                    "load_config", "parse_config", "parse_m_grid", "parse_params", "run_bias_burr",
+                    "run_experiment", "run_mse_sweep", "run_to_csv", "run_trajectory",
+                    "run_variance_table", "write_csv",
                 },
             ),
         ],
