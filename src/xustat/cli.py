@@ -10,6 +10,7 @@ import argparse
 import math
 import sys
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from typing import List, Optional
 
 import numpy as np
@@ -83,14 +84,12 @@ def _cmd_weights(args) -> int:
 def _cmd_simulate(args) -> int:
     try:
         config = harness.load_config(args.config)
+        if args.threads is not None:
+            config = replace(config, threads=args.threads)
     except OSError as exc:
         raise TailInferenceError(f"cannot read config: {exc}") from exc
     except ValueError as exc:
         raise CliUsageError(f"bad config: {exc}") from exc
-    if args.threads is not None:
-        from dataclasses import replace
-
-        config = replace(config, threads=args.threads)
     try:
         path = harness.run_to_csv(config, per_rep=args.per_rep)
     except OSError as exc:

@@ -46,6 +46,11 @@ class NonPositiveArgument(TailInferenceError):
     pass
 
 
+class KernelUnavailable(TailInferenceError):
+    """The compiled spacing kernel could not be built: no working C compiler, or
+    no writable directory for it."""
+
+
 @dataclass(frozen=True)
 class SortedSample:
     """Observations sorted in descending order; values[0] is the sample maximum.

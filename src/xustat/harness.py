@@ -54,6 +54,8 @@ class ExperimentConfig:
             raise ValueError("m_grid repeats a block size")
         if self.master_seed < 0:
             raise ValueError("seed must be >= 0")
+        if self.threads < 0:
+            raise ValueError("threads must be >= 0")
         if not self.family.startswith("file:"):
             for m in self.m_grid:
                 if not 3 <= m <= self.n:

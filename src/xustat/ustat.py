@@ -6,11 +6,12 @@ Three routes to the same quantity:
 * :func:`topq_weighted_ustat` sums kernel values over rank tuples weighted by
   the number of subsets whose top q lands on those ranks,
 * the Pickands evaluators (single, grid and batch) evaluate the
-  explicit formula U = sum_j w_j s_j.  All take s_j from one O(n^2) kernel
-  over cache-sized row blocks, :func:`_spacing_sums`, which multiplies the
-  spacings under exact power-of-two renormalisation and takes one log per
-  s_j, so s_j is within (j-2)u + |s_j|u + 2u (u = 2^-53) of the exact sum
-  of logs and does not depend on the block or on how far the sweep runs.
+  explicit formula U = sum_j w_j s_j.  All take s_j from one O(n^2) kernel,
+  :func:`_spacing_sums`: a C loop (``_spacing.c``, compiled on first use and
+  cached under ``__pycache__``) multiplies each row's spacings under exact
+  power-of-two renormalisation, and numpy takes one log per s_j, so s_j is
+  within (j-2)u + |s_j|u + 2u (u = 2^-53) of the exact sum of logs and does
+  not depend on the row block or on how far the sweep runs.
   They apply one tie rule, :func:`_decreasing_prefix`, and one reduction,
   :func:`_exact_sums`, which returns the exactly rounded sum of the w_j s_j,
   the value ``math.fsum(w * s)`` gives; a single sample is a batch of one
@@ -54,11 +55,18 @@ builds the rows of a block of m at once from one table of logarithms
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import os
+import subprocess
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, Sequence, Tuple
+from pathlib import Path
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -66,6 +74,7 @@ from .core import (
     BlockSizeOutOfRange,
     DegenerateSpacing,
     InstanceTooLarge,
+    KernelUnavailable,
     SortedSample,
     TopQKernel,
 )
@@ -79,6 +88,11 @@ _LEVELS = 3  # error-free extraction levels of the reduction (module docstring)
 _SUM_MIN, _SUM_MAX = 2.0**-960, 2.0**960  # range of a row's largest |term| for extraction
 _LN2_HI = 0.6931467056274414  # ln 2 to 20 significant bits
 _LN2_LO = 4.7493250390316726e-07  # ln 2 - _LN2_HI
+_KERNEL_SOURCE = Path(__file__).with_name("_spacing.c")
+_KERNEL_CACHE = Path(__file__).with_name("__pycache__")
+# no -ffast-math, and no contraction into fused multiply-adds: every operation
+# of the kernel stays one correctly rounded IEEE operation, as in numpy
+_CC_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared")
 
 
 @dataclass(frozen=True)
@@ -277,38 +291,26 @@ def _spacing_ends(v: np.ndarray, j_hi: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.min(head[:, :-1] - head[:, 1:], axis=1), head[:, 0] - head[:, -1]
 
 
-def _renormalise(p: np.ndarray, e: np.ndarray, scratch: np.ndarray) -> None:
-    """Move the binary exponents of positive normal ``p`` into ``e``, leaving p in [1, 2).
-
-    Works on the bit pattern (an int64 view): subtracting the unbiased
-    exponent from the exponent field changes p by an exact power of two.
-    """
-    bits = p.view(np.int64)
-    x = scratch.view(np.int64)
-    np.right_shift(bits, 52, out=x)
-    x -= 1023
-    e += x
-    x <<= 52
-    bits -= x
-
-
 def _spacing_sums(v: np.ndarray, j_hi: int) -> np.ndarray:
     """Row-wise s[r, j-2] = sum_{i=1}^{j-1} ln(v[r, i-1] - v[r, j-1]), j = 2..j_hi.
 
     One log per s_j, not one per spacing: s_j = ln(p_j) + E_j ln 2, with p_j
     the product of the j-1 spacings kept in range by exact powers of two.
 
-    * Rank-major on a transposed copy of each block of ``_BLOCK_BUDGET // j_hi``
-      rows (copy, product, exponents and scratch fit a 2 MiB L2 cache), step i
-      multiplies the spacings below the i-th largest value into p_{i+1..j_hi}.
-    * Every r steps :func:`_renormalise` moves the exponents of the open
-      products into the int64 E, leaving p in [1, 2).  The block's spacings
+    * One C loop (``_spacing.c``, built on first use by :func:`_spacing_kernel`)
+      fills blocks of ``_BLOCK_BUDGET // j_hi`` rows of the output with p in
+      [1, 2) and a block-sized int64 scratch with E.  Per row it runs
+      ``p[i+q] *= v[i] - v[i+1+q]`` rank-major, so p_j takes its factors
+      i = 1..j-1 in order, and every r steps it moves the exponents of the
+      open products into E through their bit patterns.  The row's spacings
       lie in [2^(lo-1), 2^hi), lo and hi the binary exponents of its smallest
       and largest one (:func:`_spacing_ends`), and r is the largest count for
-      which r such factors keep a product from [1, 2) within 2^+-1000, so no
-      product can overflow or become subnormal.  Where no r >= 1 qualifies
-      (spacings beyond about 2^+-1000), ``np.frexp`` splits every
-      factor first: its significand goes into p, its exponent into E.
+      which r such factors keep a product from [1, 2) within 2^+-1000
+      (``_EXPONENT_HEADROOM``), so no product can overflow or become
+      subnormal.  Where no r >= 1 qualifies (spacings beyond about
+      2^+-1000), libm ``frexp`` splits every factor first: its significand
+      goes into p, its exponent into E.
+    * The logs and E _LN2_HI + (E _LN2_LO + ln p) are numpy's, in place.
 
     Rescaling by a power of two is exact and rounding a product of normal
     numbers depends only on their significands, so s_j does not depend on r,
@@ -319,31 +321,111 @@ def _spacing_sums(v: np.ndarray, j_hi: int) -> np.ndarray:
     (j-2)u + |s_j|u + 2u.  Rows must strictly decrease up to j_hi with
     finite spacings (:func:`_decreasing_prefix`).
     """
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 2 or not 2 <= j_hi <= v.shape[1]:  # the C loop reads v[:, :j_hi]
+        raise BlockSizeOutOfRange(f"need rows of at least j_hi >= 2 values, got j_hi={j_hi}")
+    kernel = _spacing_kernel()
     out = np.empty((v.shape[0], j_hi - 1))
     step = max(1, _BLOCK_BUDGET // j_hi)
+    e = np.empty((min(step, v.shape[0]), j_hi - 1), dtype=np.int64)
+    scratch = np.empty(e.shape)
     for r0 in range(0, v.shape[0], step):
         head = v[r0 : r0 + step, :j_hi]
-        small, large = _spacing_ends(head, j_hi)
-        lo, hi = int(np.frexp(small)[1].min()), int(np.frexp(large)[1].max())
-        r = _EXPONENT_HEADROOM // max(1, 1 - lo, hi + 1)
-        split = r == 0  # then every factor is reduced to its significand first
-        r = r or _EXPONENT_HEADROOM
-        vt = np.ascontiguousarray(head.T)
-        p = np.ones((j_hi - 1, vt.shape[1]))
-        e = np.zeros(p.shape, dtype=np.int64)
-        buf = np.empty_like(p)
-        for i in range(j_hi - 1):
-            t = buf[: j_hi - 1 - i]
-            np.subtract(vt[i], vt[i + 1 :], out=t)
-            if split:
-                t, x = np.frexp(t)
-                e[i:] += x
-            p[i:] *= t
-            if (i + 1) % r == 0:
-                _renormalise(p[i + 1 :], e[i + 1 :], buf[i + 1 :])
-        _renormalise(p, e, buf)
-        out[r0 : r0 + step] = (e * _LN2_HI + (e * _LN2_LO + np.log(p))).T
+        if head.strides[1] != head.itemsize:  # a reversed or strided view
+            head = np.ascontiguousarray(head)
+        rows = head.shape[0]
+        p, eb, f = out[r0 : r0 + rows], e[:rows], scratch[:rows]
+        kernel(head.ctypes.data, rows, head.strides[0] // head.itemsize, j_hi,
+               _EXPONENT_HEADROOM, p.ctypes.data, eb.ctypes.data)
+        np.log(p, out=p)
+        p += np.multiply(eb, _LN2_LO, out=f)
+        p += np.multiply(eb, _LN2_HI, out=f)
     return out
+
+
+@functools.cache
+def _spacing_kernel():
+    """``spacing_products`` of ``_spacing.c``, compiled unless already cached.
+
+    The library lives in ``_KERNEL_CACHE`` (the package's ``__pycache__``)
+    under the name :func:`_build_command` gives.  The compiler writes a
+    temporary file that ``os.replace`` moves into place, so processes
+    building at once all succeed.  If the cache cannot be written, the
+    library is built in a private ``tempfile.TemporaryDirectory`` (mode 0700)
+    that is removed once it is loaded: no directory that other users can
+    write is ever searched for a library to load.  A compiler that is
+    missing or fails, or a library that cannot be loaded, raises
+    KernelUnavailable.
+    """
+    cmd, name = _build_command()
+    path = _KERNEL_CACHE / name
+    if path.exists():
+        return _load(path)
+    try:
+        _KERNEL_CACHE.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=name, suffix=".tmp", dir=_KERNEL_CACHE)
+    except OSError:
+        try:
+            private = tempfile.TemporaryDirectory(prefix="xustat-")
+        except OSError as exc:
+            raise KernelUnavailable(f"no writable directory for the spacing kernel: {exc}") from exc
+        with private:
+            path = Path(private.name) / name
+            _run([*cmd, str(path)])
+            return _load(path)
+    os.close(fd)
+    try:
+        _run([*cmd, tmp])
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+    return _load(path)
+
+
+def _build_command() -> Tuple[List[str], str]:
+    """The compiler command, less its output path, and the library's file name.
+
+    The name carries the sha256 of the source, the command and the macros
+    the compiler predefines under that command.  The macros name the target
+    that ``-march=native`` resolves to (its instruction-set extensions) and
+    the compiler's version, so a host with another CPU or compiler builds
+    its own library instead of loading one that could fault on it.
+    """
+    import hashlib  # here, not at the top: only a process's first call builds
+    import shlex
+    import sysconfig
+
+    cc = [*shlex.split(sysconfig.get_config_var("CC") or "cc"), *_CC_FLAGS]
+    macros = sorted(_run([*cc, "-E", "-dM", "-x", "c", os.devnull]).splitlines())
+    cmd = [*cc, str(_KERNEL_SOURCE), "-lm", "-o"]
+    key = hashlib.sha256(_KERNEL_SOURCE.read_bytes())
+    key.update("\0".join([*cmd, *macros]).encode())
+    return cmd, f"_spacing-{key.hexdigest()[:16]}{sysconfig.get_config_var('EXT_SUFFIX')}"
+
+
+def _load(path: Path):
+    try:
+        fn = ctypes.CDLL(str(path)).spacing_products
+    except (OSError, AttributeError) as exc:
+        raise KernelUnavailable(f"cannot load {path}: {' '.join(str(exc).split())}") from exc
+    fn.argtypes = [ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_long,
+                   ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p]
+    fn.restype = None
+    return fn
+
+
+def _run(cmd: Sequence[str]) -> str:
+    """stdout of the compiler command ``cmd``; KernelUnavailable if it cannot
+    run or fails."""
+    try:
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+    except OSError as exc:
+        raise KernelUnavailable(f"cannot run {' '.join(cmd)}: {exc}") from exc
+    if proc.returncode != 0:
+        detail = " ".join(proc.stderr.split())  # one line
+        raise KernelUnavailable(f"{' '.join(cmd)} exited {proc.returncode}: {detail}")
+    return proc.stdout
 
 
 def log_spacing_sums(values: np.ndarray, j_hi: int) -> np.ndarray:

@@ -269,6 +269,7 @@ class TestSimulate:
         "old, new, message",
         [
             ("seed = 99", "seed = -1", "seed must be >= 0"),
+            ("threads = 1", "threads = -4", "threads must be >= 0"),
             ("m_grid = 3,8", "m_grid = 8,8", "m_grid repeats a block size"),
             ("params = 0.5", "params = nan", "non-finite value"),
             ("params = 0.5", "params = 0.5,2", "family GP takes 1 parameter(s)"),
@@ -291,6 +292,13 @@ class TestSimulate:
         code, stdout, err = run_cli(capsys, "simulate", "--config", str(cfg))
         assert (code, stdout) == (1, "")
         assert err.startswith(f"error: bad config: {message}") and err.count("\n") == 1
+
+    def test_negative_threads_flag_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(CONFIG.format(out=tmp_path / "o.csv"))
+        code, stdout, err = run_cli(capsys, "simulate", "--config", str(cfg), "--threads", "-4")
+        assert (code, stdout, err) == (1, "", "error: bad config: threads must be >= 0\n")
+        assert not (tmp_path / "o.csv").exists()
 
 
 class TestInputChecks:

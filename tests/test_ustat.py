@@ -1,5 +1,10 @@
 import inspect
 import math
+import os
+import subprocess
+import sys
+import sysconfig
+import tempfile
 import warnings
 
 import numpy as np
@@ -7,18 +12,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xustat import asymptotics, core, dist, estimators, harness, ustat
+from xustat import asymptotics, cli, core, dist, estimators, harness, ustat
 from xustat.core import (
     BlockSizeOutOfRange,
     DegenerateSpacing,
     InstanceTooLarge,
+    KernelUnavailable,
     PICKANDS_KERNEL,
     TopQKernel,
     pickands_kernel,
     sort_sample,
 )
 from xustat.ustat import (
+    _BLOCK_BUDGET,
+    _EXPONENT_HEADROOM,
+    _LN2_HI,
+    _LN2_LO,
     _exact_sums,
+    _spacing_ends,
     _spacing_sums,
     _weight_rows,
     brute_force_ustat,
@@ -554,6 +565,51 @@ class TestLogSpacingSums:
             assert s[j - 2] == pytest.approx(direct, rel=1e-12)
 
 
+def _renormalise(p: np.ndarray, e: np.ndarray, scratch: np.ndarray) -> None:
+    """Move the binary exponents of positive normal ``p`` into ``e``, leaving p in [1, 2).
+
+    Works on the bit pattern (an int64 view): subtracting the unbiased
+    exponent from the exponent field changes p by an exact power of two.
+    """
+    bits = p.view(np.int64)
+    x = scratch.view(np.int64)
+    np.right_shift(bits, 52, out=x)
+    x -= 1023
+    e += x
+    x <<= 52
+    bits -= x
+
+
+def _spacing_sums_oracle(v: np.ndarray, j_hi: int) -> np.ndarray:
+    """The numpy rank-major sweep the C kernel replaced, kept verbatim: one
+    renormalisation interval and one frexp split per row block."""
+    out = np.empty((v.shape[0], j_hi - 1))
+    step = max(1, _BLOCK_BUDGET // j_hi)
+    for r0 in range(0, v.shape[0], step):
+        head = v[r0 : r0 + step, :j_hi]
+        small, large = _spacing_ends(head, j_hi)
+        lo, hi = int(np.frexp(small)[1].min()), int(np.frexp(large)[1].max())
+        r = _EXPONENT_HEADROOM // max(1, 1 - lo, hi + 1)
+        split = r == 0  # then every factor is reduced to its significand first
+        r = r or _EXPONENT_HEADROOM
+        vt = np.ascontiguousarray(head.T)
+        p = np.ones((j_hi - 1, vt.shape[1]))
+        e = np.zeros(p.shape, dtype=np.int64)
+        buf = np.empty_like(p)
+        for i in range(j_hi - 1):
+            t = buf[: j_hi - 1 - i]
+            np.subtract(vt[i], vt[i + 1 :], out=t)
+            if split:
+                t, x = np.frexp(t)
+                e[i:] += x
+            p[i:] *= t
+            if (i + 1) % r == 0:
+                _renormalise(p[i + 1 :], e[i + 1 :], buf[i + 1 :])
+        _renormalise(p, e, buf)
+        out[r0 : r0 + step] = (e * _LN2_HI + (e * _LN2_LO + np.log(p))).T
+    return out
+
+
 class TestSpacingKernel:
     FAMILIES = TestWeightCutoff.FAMILIES
 
@@ -618,6 +674,182 @@ class TestSpacingKernel:
             assert abs(got[j - 2] - math.fsum(logs)) <= bound
         for k in (2, 3):
             assert np.array_equal(_spacing_sums(v[None], k)[0], got[: k - 1])
+
+
+class TestKernelOracle:
+    """The C kernel gives the numpy sweep's bits on every input the other
+    kernel tests use, whatever the layout of the rows."""
+
+    FAMILIES = TestWeightCutoff.FAMILIES
+
+    def _same(self, mat, j_hi):
+        got = _spacing_sums(mat, j_hi)
+        assert np.array_equal(got, _spacing_sums_oracle(mat, j_hi))
+
+    @pytest.mark.parametrize("family", range(len(FAMILIES)))
+    def test_spacing_kernel_inputs(self, family):
+        mat = TestSpacingKernel()._rows(family)
+        for j_hi in (2, 3, 41, 700, 1999, 2000):
+            self._same(mat, j_hi)
+
+    def test_rows_spanning_the_double_range(self):
+        mat = np.array(
+            [
+                [1.7e308, 1e300, 1e-310, 5e-324, 0.0],
+                [8e307, 1e-300, 1e-310, 0.0, -1e-320],
+                [4.0, 3.0, 1.0, 0.0, -1e-9],
+            ]
+        )
+        for j_hi in range(2, 6):
+            self._same(mat, j_hi)
+            for row in mat:
+                self._same(row[None], j_hi)
+
+    def test_row_near_the_overflow_threshold(self):
+        v = np.array([[1e308, 5e307, 0.0, -5e307, -1e308]])
+        for j_hi in (2, 3, 4):
+            self._same(v, j_hi)
+
+    def test_cauchy_row_blocks(self):
+        rng = np.random.default_rng(23)
+        mat = np.sort(rng.standard_cauchy((200, 700)), axis=1)[:, ::-1]
+        self._same(mat, 700)
+
+    def test_bootstrap_shaped_block(self):
+        # parametric_bootstrap at n = 2000, m = 20 sweeps j_hi = 1983
+        rng = np.random.default_rng(29)
+        mat = np.sort(dist.quantile(dist.gp(0.5), rng.random((200, 2000))), axis=1)[:, ::-1]
+        self._same(mat, 1983)
+
+    def test_strided_and_indexed_rows(self):
+        rng = np.random.default_rng(30)
+        mat = np.sort(rng.standard_cauchy((60, 300)), axis=1)
+        rev = mat[:, ::-1]  # negative element stride, as SortedSample.values
+        ok = rng.random(60) < 0.5
+        redo = np.flatnonzero(~ok)
+        for rows in (rev, rev[ok], rev[redo], rev[::3], rev[:, 10:]):
+            self._same(rows, 250)
+        x = dist.sample(dist.gp(0.5), 300, dist.RngStream(30, 0)).values
+        self._same(x[None], 300)
+
+    @pytest.mark.parametrize("j_hi", [1, 6])
+    def test_rows_shorter_than_j_hi_are_refused(self, j_hi):
+        with pytest.raises(BlockSizeOutOfRange):
+            _spacing_sums(np.arange(5.0, 0.0, -1.0)[None], j_hi)
+
+
+class TestKernelBuild:
+    """The kernel compiles once per cache; a missing compiler is a typed error."""
+
+    ROWS = np.arange(120.0, 0.0, -1.0)[None] ** 1.5
+
+    @pytest.fixture
+    def cache(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(ustat, "_KERNEL_CACHE", tmp_path / "cache")
+        ustat._spacing_kernel.cache_clear()
+        yield tmp_path / "cache"
+        ustat._spacing_kernel.cache_clear()
+
+    def _count_compiles(self, monkeypatch):
+        calls = []
+        run = ustat._run
+
+        def counting(cmd):
+            if "-E" not in cmd:  # not the query of the compiler's target
+                calls.append(cmd)
+            return run(cmd)
+
+        monkeypatch.setattr(ustat, "_run", counting)
+        return calls
+
+    def test_second_call_compiles_nothing(self, cache, monkeypatch):
+        calls = self._count_compiles(monkeypatch)
+        first = _spacing_sums(self.ROWS, 120)
+        ustat._spacing_kernel.cache_clear()  # as a fresh process finds the cache
+        assert np.array_equal(_spacing_sums(self.ROWS, 120), first)
+        assert len(calls) == 1
+        [lib] = cache.iterdir()  # no temporary file left behind
+        assert lib.name.startswith("_spacing-") and lib.name.endswith(
+            sysconfig.get_config_var("EXT_SUFFIX")
+        )
+
+    def test_unwritable_cache_builds_privately_and_ignores_planted_files(self, cache, monkeypatch):
+        blocker = cache.parent / "blocker"
+        blocker.write_text("")  # a file, so no directory can be made under it
+        monkeypatch.setattr(ustat, "_KERNEL_CACHE", blocker / "cache")
+        shared = cache.parent / "shared"
+        shared.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(shared))
+        _, name = ustat._build_command()
+        planted = shared / name
+        planted.write_bytes(b"not a shared library")  # loading it would raise
+        calls = self._count_compiles(monkeypatch)
+        assert np.array_equal(_spacing_sums(self.ROWS, 120), _spacing_sums_oracle(self.ROWS, 120))
+        assert len(calls) == 1
+        assert list(shared.iterdir()) == [planted]  # the private build is removed
+
+    def test_library_name_follows_the_compiler_target(self, monkeypatch):
+        _, name = ustat._build_command()
+        run = ustat._run
+
+        def other_cpu(cmd):
+            out = run(cmd)
+            return out + "#define __other_cpu_feature__ 1\n" if "-E" in cmd else out
+
+        monkeypatch.setattr(ustat, "_run", other_cpu)
+        assert ustat._build_command()[1] != name
+
+    def test_unloadable_library_raises(self, cache):
+        _, name = ustat._build_command()
+        cache.mkdir()
+        (cache / name).write_bytes(b"not a shared library")
+        with pytest.raises(KernelUnavailable, match=f"cannot load .*{name}"):
+            _spacing_sums(self.ROWS, 120)
+
+    def test_two_processes_building_at_once_agree(self, cache):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ustat.__file__)))
+        code = (
+            "import sys; from pathlib import Path; import numpy as np; from xustat import ustat; "
+            "ustat._KERNEL_CACHE = Path(sys.argv[1]); "
+            "rows = np.arange(120.0, 0.0, -1.0)[None] ** 1.5; "
+            "print(ustat._spacing_sums(rows, 120).tobytes().hex())"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", code, str(cache)], env=env,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            for _ in range(2)
+        ]
+        outs = [proc.communicate(timeout=120) for proc in procs]
+        assert [proc.returncode for proc in procs] == [0, 0], [err for _, err in outs]
+        want = _spacing_sums_oracle(self.ROWS, 120).tobytes().hex()
+        assert [out.strip() for out, _ in outs] == [want, want]
+        assert len(list(cache.iterdir())) == 1
+
+    def test_missing_compiler_raises(self, cache, monkeypatch):
+        monkeypatch.setitem(sysconfig.get_config_vars(), "CC", "/no/such/cc")
+        with pytest.raises(KernelUnavailable, match="cannot run /no/such/cc"):
+            _spacing_sums(self.ROWS, 120)
+
+    def test_failing_compiler_names_its_command_and_stderr(self, cache, monkeypatch):
+        # answers the query of its target, and fails to build
+        script = 'import sys; sys.exit(\"no C here\" if \"-o\" in sys.argv else 0)'
+        monkeypatch.setitem(sysconfig.get_config_vars(), "CC", f"{sys.executable} -c '{script}'")
+        with pytest.raises(KernelUnavailable, match=r"-ffp-contract=off .* -o \S+ exited 1: no C here$"):
+            _spacing_sums(self.ROWS, 120)
+        assert list(cache.iterdir()) == []  # the temporary output is removed
+
+    def test_estimate_without_a_compiler_exits_2(self, cache, monkeypatch, capsys, tmp_path):
+        monkeypatch.setitem(sysconfig.get_config_vars(), "CC", "/no/such/cc")
+        sample = tmp_path / "sample.txt"
+        sample.write_text("4\n3\n1\n0\n")
+        code = cli.main(["estimate", "--input", str(sample), "--m", "3"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: KernelUnavailable: cannot run /no/such/cc")
+        assert err.count("\n") == 1
 
 
 class TestSmoothing:
