@@ -12,7 +12,7 @@ import csv
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -128,7 +128,7 @@ def write_csv(rows: Sequence[ResultRow], path: str) -> None:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
             for r in rows:
-                writer.writerow([_fmt(x) for x in astuple(r)])
+                writer.writerow([_fmt(getattr(r, name)) for name in CSV_COLUMNS])
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

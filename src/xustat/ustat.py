@@ -8,11 +8,13 @@ Three routes to the same quantity:
 * the Pickands evaluators (single, grid and batch) evaluate the
   explicit formula U = sum_j w_j s_j.  All take s_j from one O(n^2) kernel,
   :func:`_spacing_sums`: a C loop (``_spacing.c``, compiled on first use and
-  cached under ``__pycache__``) multiplies each row's spacings under exact
-  power-of-two renormalisation, and numpy takes one log per s_j, so s_j is
-  within (j-2)u + |s_j|u + 2u (u = 2^-53) of the exact sum of logs and does
-  not depend on the row block or on how far the sweep runs.
-  They apply one tie rule, :func:`_decreasing_prefix`, and one reduction,
+  cached under ``__pycache__``) multiplies each row's spacings four ranks
+  per pass, under exact power-of-two renormalisation every r' = 4 floor(r/4)
+  ranks, each product taking its factors in rank order, and numpy takes one
+  log per s_j, so s_j is within (j-2)u + |s_j|u + 2u (u = 2^-53) of the
+  exact sum of logs and does not depend on the tile, the row block or how
+  far the sweep runs.  They apply one tie rule, the C scan of
+  :func:`_spacing_scan`, and one reduction,
   :func:`_exact_sums`, which returns the exactly rounded sum of the w_j s_j,
   the value ``math.fsum(w * s)`` gives; a single sample is a batch of one
   row, so the two agree bit for bit.
@@ -39,7 +41,7 @@ call per row on three numbers instead of one over the whole row.
 
 Exact weight cut-off (single and batch; the grid shares one full sweep across
 its m).  With L a row's largest |ln spacing|, taken at its smallest or largest
-spacing (:func:`_spacing_ends`), |s_j| <= (j-1) L, so the terms past the
+spacing (:func:`_spacing_scan`), |s_j| <= (j-1) L, so the terms past the
 first K sum to at most 2 L sum_{j>K+1} |w_j| (j-1), the 2 covering the
 rounding of s_j and w_j s_j.  K is the fewest terms whose bound is below
 ``_CUT_TARGET`` = 2^-66; their s_j equal the full-length kernel's bit for
@@ -254,23 +256,37 @@ def topq_weighted_ustat(sample: SortedSample, m: int, kernel: TopQKernel) -> flo
     return math.fsum(terms)
 
 
-def _decreasing_prefix(v: np.ndarray, j_hi: int) -> np.ndarray:
-    """Per row of ``v``, how many leading entries (at most j_hi) strictly decrease.
+def _spacing_scan(v: np.ndarray, j_hi: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of ``v``, how many leading entries k (at most j_hi) strictly
+    decrease, their smallest adjacent spacing and their largest, v[0] - v[k-1].
 
     A zero, NaN or infinite spacing ends the prefix: its log is not finite.
     Entry j's largest spacing is v[0] - v[j], which can overflow while every
     adjacent spacing is finite (1e308, 0, -1e308), so it is checked as well.
     """
+    head = _head(v, j_hi)
+    rows = head.shape[0]
+    k = np.empty(rows, dtype=np.int64)
+    small, large = np.empty(rows), np.empty(rows)
+    _spacing_kernel().spacing_scan(
+        head.ctypes.data, rows, head.strides[0] // head.itemsize, head.strides[1] // head.itemsize,
+        j_hi, k.ctypes.data, small.ctypes.data, large.ctypes.data,
+    )
+    return k, small, large
+
+
+def _head(v: np.ndarray, j_hi: int) -> np.ndarray:
+    """The first j_hi columns of the float64 matrix ``v``, which the C loops
+    read, in strides of whole elements."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 2 or not 2 <= j_hi <= v.shape[1]:
+        raise BlockSizeOutOfRange(f"need rows of at least j_hi >= 2 values, got j_hi={j_hi}")
     head = v[:, :j_hi]
-    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN: a tie
-        d = np.diff(head, axis=1)
-        top = head[:, :1] - head[:, 1:]
-    bad = ~((d < 0.0) & (d > -np.inf) & (top < np.inf))
-    return np.where(bad.any(axis=1), bad.argmax(axis=1) + 1, j_hi)
+    return np.ascontiguousarray(head) if any(s % head.itemsize for s in head.strides) else head
 
 
 def _require_decreasing(v: np.ndarray, j_hi: int) -> None:
-    k = int(_decreasing_prefix(v[None], j_hi)[0])
+    k = int(_spacing_scan(v[None], j_hi)[0][0])
     if k < j_hi:
         top, hi, lo = float(v[0]), float(v[k - 1]), float(v[k])
         if math.isfinite(top) and math.isfinite(lo) and top - lo == math.inf:
@@ -281,56 +297,49 @@ def _require_decreasing(v: np.ndarray, j_hi: int) -> None:
         raise DegenerateSpacing(f"tie among order statistics {k} and {k + 1} (1 = largest)")
 
 
-def _spacing_ends(v: np.ndarray, j_hi: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Per row, the smallest and largest spacing v[i] - v[j], 0 <= i < j < j_hi.
-
-    They are the smallest adjacent spacing and v[0] - v[j_hi - 1].  Rows must
-    strictly decrease up to j_hi with finite spacings.
-    """
-    head = v[:, :j_hi]
-    return np.min(head[:, :-1] - head[:, 1:], axis=1), head[:, 0] - head[:, -1]
-
-
 def _spacing_sums(v: np.ndarray, j_hi: int) -> np.ndarray:
     """Row-wise s[r, j-2] = sum_{i=1}^{j-1} ln(v[r, i-1] - v[r, j-1]), j = 2..j_hi.
 
     One log per s_j, not one per spacing: s_j = ln(p_j) + E_j ln 2, with p_j
     the product of the j-1 spacings kept in range by exact powers of two.
 
-    * One C loop (``_spacing.c``, built on first use by :func:`_spacing_kernel`)
-      fills blocks of ``_BLOCK_BUDGET // j_hi`` rows of the output with p in
-      [1, 2) and a block-sized int64 scratch with E.  Per row it runs
-      ``p[i+q] *= v[i] - v[i+1+q]`` rank-major, so p_j takes its factors
-      i = 1..j-1 in order, and every r steps it moves the exponents of the
-      open products into E through their bit patterns.  The row's spacings
-      lie in [2^(lo-1), 2^hi), lo and hi the binary exponents of its smallest
-      and largest one (:func:`_spacing_ends`), and r is the largest count for
-      which r such factors keep a product from [1, 2) within 2^+-1000
-      (``_EXPONENT_HEADROOM``), so no product can overflow or become
-      subnormal.  Where no r >= 1 qualifies (spacings beyond about
-      2^+-1000), libm ``frexp`` splits every factor first: its significand
-      goes into p, its exponent into E.
+    * ``spacing_products`` (``_spacing.c``, built on first use by
+      :func:`_spacing_kernel`) fills blocks of ``_BLOCK_BUDGET // j_hi`` rows
+      of the output with p in [1, 2) and a block-sized int64 scratch with E.
+      A row's spacings lie in [2^(lo-1), 2^hi), lo and hi the binary
+      exponents of its smallest adjacent spacing and of v[0] - v[j_hi-1]
+      (the scan of :func:`_spacing_scan`); r is the largest count for which
+      r such factors keep a product from [1, 2) within 2^+-1000
+      (``_EXPONENT_HEADROOM``).  With r >= 4 one pass takes the four ranks
+      i..i+3 (0-based): p_{i+2}, p_{i+3} and p_{i+4} take their one to three
+      factors, then each later p_j is loaded once, multiplied by v[i] -
+      v[j-1], v[i+1] - v[j-1], v[i+2] - v[j-1] and v[i+3] - v[j-1] in that
+      order and stored once; every r' = 4 floor(r/4) <= r ranks the open
+      products move their exponents into E through their bit patterns, and
+      the last (j_hi - 1) mod 4 ranks run one at a time on that schedule.
+      With r < 4 each pass takes one rank; with no r >= 1 (spacings beyond
+      about 2^+-1000) libm ``frexp`` first splits every factor into p and E.
     * The logs and E _LN2_HI + (E _LN2_LO + ln p) are numpy's, in place.
 
+    Either way p_j takes its factors i = 1..j-1 in rank order, one rounded
+    multiplication each, and no product overflows or becomes subnormal.
     Rescaling by a power of two is exact and rounding a product of normal
-    numbers depends only on their significands, so s_j does not depend on r,
-    the split, the block or j_hi.  E ln 2 is E _LN2_HI (exact for |E| < 2^33)
-    plus E _LN2_LO.  A product of k rounded factors carries relative error at
-    most gamma_k = ku/(1 - ku), u = 2^-53 (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., 3.1), so |s_j - sum of exact logs| <=
-    (j-2)u + |s_j|u + 2u.  Rows must strictly decrease up to j_hi with
-    finite spacings (:func:`_decreasing_prefix`).
+    numbers depends only on their significands, so s_j does not depend on
+    the tile, r', the split, the block or j_hi.  E ln 2 is E _LN2_HI (exact
+    for |E| < 2^33) plus E _LN2_LO.  A product of k rounded factors carries
+    relative error at most gamma_k = ku/(1 - ku), u = 2^-53 (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1), so
+    |s_j - sum of exact logs| <= (j-2)u + |s_j|u + 2u.  Rows must strictly
+    decrease up to j_hi with finite spacings (:func:`_spacing_scan`).
     """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 2 or not 2 <= j_hi <= v.shape[1]:  # the C loop reads v[:, :j_hi]
-        raise BlockSizeOutOfRange(f"need rows of at least j_hi >= 2 values, got j_hi={j_hi}")
-    kernel = _spacing_kernel()
+    v = _head(v, j_hi)
+    kernel = _spacing_kernel().spacing_products
     out = np.empty((v.shape[0], j_hi - 1))
     step = max(1, _BLOCK_BUDGET // j_hi)
     e = np.empty((min(step, v.shape[0]), j_hi - 1), dtype=np.int64)
     scratch = np.empty(e.shape)
     for r0 in range(0, v.shape[0], step):
-        head = v[r0 : r0 + step, :j_hi]
+        head = v[r0 : r0 + step]
         if head.strides[1] != head.itemsize:  # a reversed or strided view
             head = np.ascontiguousarray(head)
         rows = head.shape[0]
@@ -345,7 +354,8 @@ def _spacing_sums(v: np.ndarray, j_hi: int) -> np.ndarray:
 
 @functools.cache
 def _spacing_kernel():
-    """``spacing_products`` of ``_spacing.c``, compiled unless already cached.
+    """The library of ``_spacing.c`` (``spacing_scan``, ``spacing_products``),
+    compiled unless already cached.
 
     The library lives in ``_KERNEL_CACHE`` (the package's ``__pycache__``)
     under the name :func:`_build_command` gives.  The compiler writes a
@@ -406,13 +416,15 @@ def _build_command() -> Tuple[List[str], str]:
 
 def _load(path: Path):
     try:
-        fn = ctypes.CDLL(str(path)).spacing_products
+        lib = ctypes.CDLL(str(path))
+        scan, products = lib.spacing_scan, lib.spacing_products
     except (OSError, AttributeError) as exc:
         raise KernelUnavailable(f"cannot load {path}: {' '.join(str(exc).split())}") from exc
-    fn.argtypes = [ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_long,
-                   ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p]
-    fn.restype = None
-    return fn
+    ptr, long = ctypes.c_void_p, ctypes.c_long
+    scan.argtypes = [ptr, long, long, long, long, ptr, ptr, ptr]
+    products.argtypes = [ptr, long, long, long, long, ptr, ptr]
+    scan.restype = products.restype = None
+    return lib
 
 
 def _run(cmd: Sequence[str]) -> str:
@@ -431,7 +443,7 @@ def _run(cmd: Sequence[str]) -> str:
 def log_spacing_sums(values: np.ndarray, j_hi: int) -> np.ndarray:
     """s_j = sum_{i=1}^{j-1} ln(X_(i) - X_(j)) for j = 2..j_hi, X_(i) the i-th largest.
 
-    Returned array is indexed by j-2; a tie (:func:`_decreasing_prefix`)
+    Returned array is indexed by j-2; a tie (:func:`_spacing_scan`)
     anywhere in range raises DegenerateSpacing.  Computed by :func:`_spacing_sums`.
     """
     v = np.asarray(values, dtype=float)
@@ -468,7 +480,7 @@ def pickands_ustat_grid(sample: SortedSample, m_grid: Sequence[int]) -> Dict[int
         if not 3 <= m <= n:
             raise BlockSizeOutOfRange(f"block size {m} outside [3, {n}]")
     v = sample.values
-    j_ok = int(_decreasing_prefix(v[None], n - min(ms) + 3)[0])
+    j_ok = int(_spacing_scan(v[None], n - min(ms) + 3)[0][0])
     out = dict.fromkeys(ms, float("nan"))
     todo = sorted({m for m in ms if n - m + 3 <= j_ok})
     if not todo:
@@ -498,15 +510,17 @@ def pickands_ustat_batch(values: np.ndarray, m: int) -> np.ndarray:
     if not 3 <= m <= n:
         raise BlockSizeOutOfRange(f"need 3 <= m <= n, got m={m}, n={n}")
     j_hi = n - m + 3
-    ok = _decreasing_prefix(v, j_hi) == j_hi
+    prefix, small, large = _spacing_scan(v, j_hi)
+    ok = prefix == j_hi
     out = np.full(nrep, np.nan)
     if not ok.any():
         return out
-    v = v if ok.all() else v[ok]
+    if not ok.all():
+        v, small, large = v[ok], small[ok], large[ok]
     w = pickands_weights(n, m).w
     # tail[k] * L bounds the terms from index k on, rounding included
     tail = 2.0 * np.cumsum((np.abs(w) * np.arange(1, w.size + 1))[::-1])[::-1]
-    bound = np.abs(np.log(_spacing_ends(v, j_hi))).max(axis=0)  # L per row
+    bound = np.abs(np.log([small, large])).max(axis=0)  # L per row
     k = int(np.count_nonzero(tail >= _CUT_TARGET / bound.max()))
     kept = _spacing_sums(v, k + 1)
     kept *= w[:k]

@@ -6,6 +6,7 @@ import sys
 import sysconfig
 import tempfile
 import warnings
+from typing import Tuple
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from xustat.ustat import (
     _LN2_HI,
     _LN2_LO,
     _exact_sums,
-    _spacing_ends,
+    _spacing_scan,
     _spacing_sums,
     _weight_rows,
     brute_force_ustat,
@@ -565,6 +566,31 @@ class TestLogSpacingSums:
             assert s[j - 2] == pytest.approx(direct, rel=1e-12)
 
 
+def _decreasing_prefix(v: np.ndarray, j_hi: int) -> np.ndarray:
+    """Per row of ``v``, how many leading entries (at most j_hi) strictly decrease.
+
+    A zero, NaN or infinite spacing ends the prefix: its log is not finite.
+    Entry j's largest spacing is v[0] - v[j], which can overflow while every
+    adjacent spacing is finite (1e308, 0, -1e308), so it is checked as well.
+    """
+    head = v[:, :j_hi]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN: a tie
+        d = np.diff(head, axis=1)
+        top = head[:, :1] - head[:, 1:]
+    bad = ~((d < 0.0) & (d > -np.inf) & (top < np.inf))
+    return np.where(bad.any(axis=1), bad.argmax(axis=1) + 1, j_hi)
+
+
+def _spacing_ends(v: np.ndarray, j_hi: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per row, the smallest and largest spacing v[i] - v[j], 0 <= i < j < j_hi.
+
+    They are the smallest adjacent spacing and v[0] - v[j_hi - 1].  Rows must
+    strictly decrease up to j_hi with finite spacings.
+    """
+    head = v[:, :j_hi]
+    return np.min(head[:, :-1] - head[:, 1:], axis=1), head[:, 0] - head[:, -1]
+
+
 def _renormalise(p: np.ndarray, e: np.ndarray, scratch: np.ndarray) -> None:
     """Move the binary exponents of positive normal ``p`` into ``e``, leaving p in [1, 2).
 
@@ -737,6 +763,132 @@ class TestKernelOracle:
         with pytest.raises(BlockSizeOutOfRange):
             _spacing_sums(np.arange(5.0, 0.0, -1.0)[None], j_hi)
 
+    @pytest.mark.parametrize("j_hi", range(2, 14))
+    def test_every_tile_remainder(self, j_hi):
+        # j_hi - 1 products: every residue mod 4, with and without a full tile
+        rng = np.random.default_rng(31)
+        mat = np.sort(rng.standard_cauchy((20, 13)), axis=1)[:, ::-1]
+        self._same(mat, j_hi)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 8])
+    def test_every_renormalisation_interval(self, r, sign):
+        # spacings of about 2^(sign 1000 / r): exponents move every r ranks,
+        # or every 4 floor(r / 4) in the tiles
+        rng = np.random.default_rng(32 + r)
+        mat = np.stack([_row_with_interval(r, sign, 41, rng) for _ in range(3)])
+        assert [_interval(row, 41) for row in mat] == [r] * 3
+        for j_hi in range(2, 42):
+            self._same(mat, j_hi)
+
+    def test_split_rows_of_every_length(self):
+        # spacings from about 2^-996 to 2^1000: no interval fits at full length
+        row = np.r_[np.arange(7.0, 0.0, -1.0) * 1e300, np.arange(6.0, -1.0, -1.0) * 1e-300]
+        assert _interval(row, row.size) == 0
+        for j_hi in range(2, row.size + 1):
+            self._same(row[None], j_hi)
+
+    def test_tile_edges_in_any_layout(self):
+        rng = np.random.default_rng(34)
+        rev = np.sort(rng.standard_cauchy((30, 20)), axis=1)[:, ::-1]
+        ok = rng.random(30) < 0.5
+        for rows in (rev, rev[ok], rev[np.flatnonzero(~ok)], rev[::3], rev[:, 3:]):
+            for j_hi in range(2, 18):
+                self._same(rows, j_hi)
+
+    def test_block_of_1983_columns(self):
+        rng = np.random.default_rng(35)
+        u = rng.random((200, 1983))
+        mat = np.ascontiguousarray(np.sort(dist.quantile(dist.gp(2.0), u), axis=1)[:, ::-1])
+        assert (_decreasing_prefix(mat, 1983) == 1983).all()
+        for j_hi in (1983, 1981):
+            self._same(mat, j_hi)
+
+
+def _interval(row: np.ndarray, j_hi: int) -> int:
+    """Ranks between two moves of the exponents for ``row[:j_hi]``, 0 where
+    every factor is split (the rule of :func:`_spacing_sums_oracle`)."""
+    small, large = _spacing_ends(row[None], j_hi)
+    lo, hi = int(np.frexp(small)[1][0]), int(np.frexp(large)[1][0])
+    return _EXPONENT_HEADROOM // max(1, 1 - lo, hi + 1)
+
+
+def _row_with_interval(r: int, sign: int, size: int, rng) -> np.ndarray:
+    """A decreasing row of ``size`` values whose spacing span is just under
+    1000 / r binary orders: its largest spacing (sign 1) or its smallest
+    (sign -1) sets :func:`_interval` to r."""
+    span = _EXPONENT_HEADROOM // r - 1
+    d = rng.uniform(1.0, 2.0, size - 1)
+    if sign > 0:  # v[0] - v[-1] = 0.75 2^(span - 1): binary exponent span - 1
+        d *= 0.75 * 2.0 ** (span - 1) / d.sum()
+    else:  # smallest spacing 0.75 2^(1 - span): binary exponent 1 - span
+        d *= 0.75 * 2.0 ** (1 - span) / d.min()
+    return np.r_[np.cumsum(d[::-1])[::-1], 0.0]
+
+
+class TestSpacingScan:
+    """The C tie scan gives the numpy oracles' prefix lengths and spacing ends
+    element for element; a row whose prefix is one entry has no spacing and
+    an infinite smallest one."""
+
+    def _same(self, mat, j_hi):
+        k, small, large = _spacing_scan(mat, j_hi)
+        assert np.array_equal(k, _decreasing_prefix(mat, j_hi))
+        for row, kr, lo, hi in zip(mat, k.tolist(), small.tolist(), large.tolist()):
+            if kr == 1:
+                assert lo == math.inf
+            else:
+                ends = _spacing_ends(row[None], kr)
+                assert (lo, hi) == (float(ends[0][0]), float(ends[1][0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_at_every_position(self, bad):
+        base = np.array([9.0, 7.5, 4.0, 3.0, 1.0, 0.5, -2.0, -6.0])
+        mat = np.repeat(base[None], base.size, axis=0)
+        mat[np.arange(base.size), np.arange(base.size)] = bad
+        for j_hi in range(2, base.size + 1):
+            self._same(mat, j_hi)
+
+    def test_signed_zeros(self):
+        mat = np.array(
+            [
+                [1.0, 0.0, -0.0, -1.0],
+                [1.0, -0.0, 0.0, -1.0],
+                [0.0, -0.0, -1.0, -2.0],
+                [-0.0, 0.0, -1.0, -2.0],
+                [2.0, 1.0, -0.0, -1.0],
+                [2.0, 1.0, 0.0, -0.0],
+            ]
+        )
+        for j_hi in range(2, 5):
+            self._same(mat, j_hi)
+        assert _spacing_scan(mat, 4)[0].tolist() == [2, 2, 1, 1, 4, 3]
+
+    def test_tie_at_the_last_index_and_two_columns(self):
+        mat = np.array([[5.0, 4.0, 3.0, 3.0], [5.0, 5.0, 3.0, 2.0], [5.0, 4.0, 3.0, 2.0]])
+        for j_hi in (2, 4):
+            self._same(mat, j_hi)
+        assert _spacing_scan(mat, 4)[0].tolist() == [3, 1, 4]
+        assert _spacing_scan(mat, 2)[0].tolist() == [2, 1, 2]
+
+    @pytest.mark.parametrize(
+        "row,k", [([1e308, 0.0, -1e308], 2), ([1e308, 5e307, 0.0, -5e307, -1e308], 4)]
+    )
+    def test_overflowing_top_spacing(self, row, k):
+        mat = np.array([row])
+        for j_hi in range(2, len(row) + 1):
+            self._same(mat, j_hi)
+        assert _spacing_scan(mat, len(row))[0].tolist() == [k]
+
+    def test_random_blocks_in_any_layout(self):
+        rng = np.random.default_rng(36)
+        mat = np.sort(np.round(rng.standard_cauchy((300, 40)), 1), axis=1)[:, ::-1].copy()
+        for value in (math.nan, math.inf, -math.inf, 0.0, -0.0):
+            mat[rng.random(mat.shape) < 0.005] = value
+        for rows in (mat, mat[:, ::-1], mat[::2], mat[:, 5:], mat[rng.random(300) < 0.5]):
+            for j_hi in (2, 3, 17, 35):
+                self._same(rows, j_hi)
+
 
 class TestKernelBuild:
     """The kernel compiles once per cache; a missing compiler is a typed error."""
@@ -827,6 +979,13 @@ class TestKernelBuild:
         want = _spacing_sums_oracle(self.ROWS, 120).tobytes().hex()
         assert [out.strip() for out, _ in outs] == [want, want]
         assert len(list(cache.iterdir())) == 1
+
+    def test_source_compiles_without_warnings(self, tmp_path):
+        try:
+            cmd, _ = ustat._build_command()
+        except KernelUnavailable as exc:  # no compiler to query
+            pytest.skip(str(exc))
+        ustat._run([*cmd[:-1], "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "lib.so")])
 
     def test_missing_compiler_raises(self, cache, monkeypatch):
         monkeypatch.setitem(sysconfig.get_config_vars(), "CC", "/no/such/cc")
