@@ -1,8 +1,13 @@
-/* The tie scan and the products of spacings behind the Pickands log-spacing
- * sums; the caller (xustat.ustat._spacing_sums) takes the logs.  Build without
- * -ffast-math and with -ffp-contract=off: every operation here is then one
- * correctly rounded subtraction or multiplication, an IEEE comparison, or an
- * exact power-of-two rescaling, and products keep the order written. */
+/* The loops of xustat that are not transcendental functions: the tie scan
+ * and the products of spacings behind the Pickands log-spacing sums, the
+ * passes of the Pickands weights, the extraction of the exact reduction, and
+ * the GP profile scan.  Every log, log1p and exp stays with the caller
+ * (xustat.ustat, xustat.estimators), in numpy, except the pruning bound of
+ * profile_prune.  Build without -ffast-math and with -ffp-contract=off:
+ * every other operation here is then one correctly rounded addition,
+ * subtraction, multiplication or division, an IEEE comparison, or an exact
+ * power-of-two rescaling, each taken in the order written, so the results
+ * have numpy's bits. */
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
@@ -124,4 +129,189 @@ void spacing_products(const double *restrict v, long rows, long stride, long j_h
         }
         renormalise(p, e, len);
     }
+}
+
+/* The log binomial ratios of the Pickands weights, for each of `rows` block
+ * sizes m = ms[i] over a row of `cols` entries: w[0] = head[i], and
+ * w[t] = (d_1 + ... + d_t) + head[i] with d_t = ln_desc[m - 2 + t] -
+ * ln_desc[1 + t] (ln_desc[u] = ln(n - u)), the partial sums taken left to
+ * right, for t < n - m + 2; the rest of the row is 0. */
+void weight_logs(const double *restrict ln_desc, long n, const int64_t *restrict ms, long rows,
+                 const double *restrict head, long cols, double *restrict w)
+{
+    for (long i = 0; i < rows; i++, w += cols) {
+        const long len = n - ms[i] + 2;
+        const double *up = ln_desc + ms[i] - 2, *down = ln_desc + 1;
+        double acc = 0.0;
+        w[0] = head[i];
+        for (long t = 1; t < len; t++) {
+            const double d = up[t] - down[t];
+            acc = t == 1 ? d : acc + d;
+            w[t] = acc + head[i];
+        }
+        for (long t = len; t < cols; t++)
+            w[t] = 0.0;
+    }
+}
+
+/* Multiply entry t of each weight row (m = ms[i], j = t + 2) by the block
+ * factor 2 (n - j + 1) / (m - 2) - j, entries t >= n - m + 2 becoming 0,
+ * then by s[t] unless s is NULL. */
+void weight_factors(long n, const int64_t *restrict ms, long rows, long cols,
+                    const double *restrict s, double *restrict w)
+{
+    for (long i = 0; i < rows; i++, w += cols) {
+        const long len = n - ms[i] + 2;
+        const double block = (double)(ms[i] - 2);
+        for (long t = 0; t < cols; t++) {
+            const double j = (double)(t + 2);
+            const double v = t < len ? w[t] * (2.0 * ((double)n - j + 1.0) / block - j) : 0.0;
+            w[t] = s ? v * s[t] : v;
+        }
+    }
+}
+
+/* The largest |p[t]|, t < J: the largest bit pattern with the sign cleared,
+ * which orders non-negative doubles as their values do and puts NaN above
+ * +inf. */
+static double abs_max(const double *p, long J)
+{
+    uint64_t top = 0;
+    for (long t = 0; t < J; t++) {
+        uint64_t bits;
+        memcpy(&bits, &p[t], sizeof bits);
+        bits &= ~(UINT64_C(1) << 63);
+        top = bits > top ? bits : top;
+    }
+    double big;
+    memcpy(&big, &top, sizeof big);
+    return big;
+}
+
+/* The error-free extraction behind xustat.ustat._exact_sums, row by row for
+ * `rows` rows of J terms (row r at P + r * stride).  A row whose largest
+ * |term| is NaN or outside [lo, hi] gets fits[r] = 0 and zeros.  Otherwise
+ * each of `levels` levels takes sigma = 2^(c + e), 2^e above the largest
+ * |p| left, splits every p into q = (sigma + p) - sigma and p - q, and
+ * stores the sum of the q in sums[r * levels + k]: every partial sum of the
+ * q is a double, so that sum is exact in any order.  rem[r] = 2^c times the
+ * largest |p| left after the last level.  scratch holds J doubles. */
+void sum_levels(const double *P, long rows, long stride, long J, long c, long levels,
+                double lo, double hi, double *restrict scratch, double *restrict sums,
+                double *restrict rem, int8_t *restrict fits)
+{
+    for (long r = 0; r < rows; r++, P += stride, sums += levels) {
+        double big = abs_max(P, J);
+        fits[r] = big >= lo && big <= hi;
+        for (long k = 0; k < levels; k++)
+            sums[k] = 0.0;
+        rem[r] = 0.0;
+        if (!fits[r])
+            continue;
+        const double *p = P;
+        for (long k = 0; k < levels; k++, p = scratch) {
+            int e;
+            frexp(big, &e);
+            const double sigma = ldexp(1.0, e + (int)c);
+            for (long t = 0; t < J; t++) {
+                const double q = (p[t] + sigma) - sigma;
+                scratch[t] = p[t] - q;
+                sums[k] += q;
+            }
+            big = abs_max(scratch, J);
+        }
+        rem[r] = ldexp(big, (int)c);
+    }
+}
+
+/* buf[r * c + j] = x[r] * grid[idx[j]] for r < rows, j < c (c >= 1): the
+ * arguments of log1p in one block of rows of the GP profile scan. */
+void profile_fill(const double *restrict x, long rows, const double *restrict grid,
+                  const int64_t *restrict idx, long c, double *restrict buf)
+{
+    double theta[c];
+    for (long j = 0; j < c; j++)
+        theta[j] = grid[idx[j]];
+    for (long r = 0; r < rows; r++, buf += c)
+        for (long j = 0; j < c; j++)
+            buf[j] = x[r] * theta[j];
+}
+
+/* sums[j] += buf[r * c + j] for r = 0..rows-1 in that order, from sums = 0
+ * when `first`: continued over the blocks of a column, the sum numpy's
+ * add.reduce gives along axis 0 of a matrix of two or more columns. */
+void profile_add(const double *restrict buf, long rows, long c, long first,
+                 double *restrict sums)
+{
+    if (first)
+        for (long j = 0; j < c; j++)
+            sums[j] = 0.0;
+    for (long r = 0; r < rows; r++, buf += c)
+        for (long j = 0; j < c; j++)
+            sums[j] += buf[j];
+}
+
+/* gam[j], a column sum on entry, becomes gamma = sum / k, and ratio[j] =
+ * gamma / theta with theta = grid[idx[j]], or 1 where that ratio is not
+ * positive: f is infinite there, and a log of 1 raises no floating-point
+ * flag. */
+void profile_ratio(const double *restrict grid, const int64_t *restrict idx, long c, long k,
+                   double *restrict gam, double *restrict ratio)
+{
+    for (long j = 0; j < c; j++) {
+        gam[j] /= (double)k;
+        const double q = gam[j] / grid[idx[j]];
+        ratio[j] = q > 0.0 ? q : 1.0;
+    }
+}
+
+/* f[j], ln(gamma / theta) on entry, becomes the profile objective at theta
+ * = grid[idx[j]], ln(gamma / theta) + gamma, or +inf where gamma / theta is
+ * not positive, gamma <= -1, gamma == 0 or the objective is not finite. */
+void profile_objective(const double *restrict grid, const int64_t *restrict idx, long c,
+                       const double *restrict gam, double *restrict f)
+{
+    for (long j = 0; j < c; j++) {
+        const double g = gam[j], v = f[j] + g;
+        const int bad = !(g / grid[idx[j]] > 0.0) || g <= -1.0 || g == 0.0 || !isfinite(v);
+        f[j] = bad ? INFINITY : v;
+    }
+}
+
+/* numpy's maximum: NaN if either argument is NaN. */
+static double np_max(double a, double b)
+{
+    return a >= b || a != a ? a : b;
+}
+
+/* The pruning step of xustat.estimators._profile_scan over the n grid
+ * points: gam holds gamma at the evaluated indices and NaN elsewhere, f the
+ * objective there and +inf elsewhere, and a[i] <= i <= b[i] the evaluated
+ * neighbours of i.  Writes to rest, in increasing order, every unevaluated i
+ * whose concavity bound on f is not above min f by margin (1 + |min f|),
+ * and returns their number.  The bound takes libm's log: it only prunes,
+ * and the margin is far above one rounding. */
+long profile_prune(const double *restrict grid, const double *restrict f,
+                   const double *restrict gam, long n, const int64_t *restrict a,
+                   const int64_t *restrict b, double margin, int64_t *restrict rest)
+{
+    double best = INFINITY;
+    for (long i = 0; i < n; i++)
+        best = f[i] < best ? f[i] : best;
+    const double cut = best + margin * (1.0 + fabs(best));
+    long count = 0;
+    for (long i = 0; i < n; i++) {
+        if (gam[i] == gam[i])
+            continue;
+        const double ga = gam[a[i]], gb = gam[b[i]], ta = grid[a[i]], tb = grid[b[i]];
+        const double chord = ga + (gb - ga) * (grid[i] - ta) / (tb - ta);
+        const double c = np_max(chord, np_max(ga, -1.0));
+        double lr = log(gb / tb);
+        if (grid[i] > 0.0 && c > 0.0)
+            lr = np_max(lr, log(c / grid[i]));
+        const double bound = gb <= -1.0 ? INFINITY : lr + c;
+        if (!(bound > cut))
+            rest[count++] = i;
+    }
+    return count;
 }

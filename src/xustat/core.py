@@ -47,8 +47,9 @@ class NonPositiveArgument(TailInferenceError):
 
 
 class KernelUnavailable(TailInferenceError):
-    """The compiled spacing kernel could not be built: no working C compiler, or
-    no writable directory for it."""
+    """The compiled library (spacing kernel, weight and reduction passes, GP
+    profile scan) could not be built: no working C compiler, or no writable
+    directory for it."""
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ k = 3n/m so both see the same number of tail observations.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -20,12 +21,14 @@ from .core import (
     ThresholdOutOfRange,
     TooFewObservations,
 )
+from .ustat import _spacing_kernel
 
 _PROFILE_GRID = 400
 # first-pass stride of the pruned scan, and the relative margin by which a
 # pruned grid value's bound clears the best evaluated one
 _SCAN_STEP = 16
 _SCAN_MARGIN = 1e-9
+_SCAN_BUFFER = 2**14  # doubles of log1p(theta x) that the scan holds at once
 # gamma_hat = -1 + _EDGE_STEP when the fit reports the gamma -> -1 edge
 _EDGE_STEP = 1e-12
 _GOLDEN_TOL = 1e-12
@@ -37,6 +40,7 @@ _GRID_I = np.arange(_HALF, dtype=float)  # i of the log10-space step i * step + 
 _FIRST = np.append(np.arange(0, _PROFILE_GRID - 1, _SCAN_STEP), _PROFILE_GRID - 1)
 _POS = np.searchsorted(_FIRST, np.arange(_PROFILE_GRID), side="right") - 1
 _A, _B = _FIRST[_POS], _FIRST[np.minimum(_POS + 1, _FIRST.size - 1)]
+_A_PTR, _B_PTR = _A.ctypes.data, _B.ctypes.data
 
 
 @dataclass(frozen=True)
@@ -109,18 +113,51 @@ def _profile_score(theta: float, x: np.ndarray) -> float:
 def _profile_columns(grid, x, idx) -> Tuple[np.ndarray, np.ndarray]:
     """f(theta) and gamma(theta) at grid[idx], +inf where f is infeasible.
 
-    Two or more columns are summed row by row, bit for bit as in a scan of
-    the whole grid; numpy sums a single column pairwise, so a lone column is
-    evaluated next to a neighbour.
+    The k x columns values log1p(theta x) pass through the thread's buffer of
+    ``_SCAN_BUFFER`` doubles (:class:`_ScanSpace`), a block of rows at a
+    time: C fills it with theta x (``profile_fill``), numpy's ``log1p`` runs
+    in place, and C adds each column in row order onto a running sum from 0
+    (``profile_add``), the sum ``np.add.reduce`` gives along axis 0 of a
+    matrix of two or more columns, so a lone column, too, has the bits of a
+    scan of the whole grid.  C divides by k for gamma and by theta for the
+    ratio (``profile_ratio``), numpy takes the log, and C adds gamma and
+    masks the infeasible values (``profile_objective``).  The two
+    transcendental functions, ``log1p`` and ``log``, stay numpy's.
     """
-    cols = idx if idx.size != 1 else np.append(idx, idx[0] - 1 if idx[0] else 1)
-    theta = grid[cols]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = np.multiply.outer(x, theta)
-        g = np.add.reduce(np.log1p(t, out=t), axis=0) / x.size
-        f = np.log(g / theta) + g
-    f[(g <= -1.0) | (g == 0.0) | ~np.isfinite(f)] = np.inf
-    return f[: idx.size], g[: idx.size]
+    lib, space = _spacing_kernel(), _SPACE
+    grid = np.ascontiguousarray(grid, dtype=float)
+    x, idx = np.ascontiguousarray(x, dtype=float), np.asarray(idx, dtype=np.int64)
+    k, c = x.size, idx.size
+    xp, gp, ip = x.ctypes.data, grid.ctypes.data, idx.ctypes.data
+    bp, sp, fp = space.ptr["buf"], space.ptr["gam"], space.ptr["f"]
+    rows = _SCAN_BUFFER // c
+    for r0 in range(0, k, rows):
+        n = min(rows, k - r0)
+        lib.profile_fill(xp + r0 * x.itemsize, n, gp, ip, c, bp)
+        t = space.buf[: n * c]
+        np.log1p(t, out=t)
+        lib.profile_add(bp, n, c, r0 == 0, sp)
+    lib.profile_ratio(gp, ip, c, k, sp, fp)
+    f = space.f[:c]
+    np.log(f, out=f)
+    lib.profile_objective(gp, ip, c, sp, fp)
+    return f.copy(), space.gam[:c].copy()
+
+
+class _ScanSpace(threading.local):
+    """One thread's arrays for the profile scan, allocated once, and their
+    addresses for the C calls, which would otherwise cost more than the
+    calls: the block buffer, one pass's column sums (then gamma) and ratios
+    (then f), and f, gamma and the points left over the whole grid."""
+
+    def __init__(self):
+        self.buf = np.empty(_SCAN_BUFFER)
+        self.gam, self.f, self.grid_f, self.grid_gam = (np.empty(_PROFILE_GRID) for _ in range(4))
+        self.rest = np.empty(_PROFILE_GRID, dtype=np.int64)
+        self.ptr = {name: a.ctypes.data for name, a in vars(self).items()}
+
+
+_SPACE = _ScanSpace()
 
 
 def _theta_grid(lo: float, mid: float, hi: float) -> np.ndarray:
@@ -153,25 +190,27 @@ def _profile_scan(x: np.ndarray, xmax: float, xbar: float) -> Tuple[np.ndarray, 
     not above the best by the margin, so every pruned value exceeds the grid
     minimum and argmin, ties included, is the full scan's.  The grid is
     :func:`_theta_grid`'s; the first-pass indices and each index's
-    neighbours a, b among them are module constants.
+    neighbours a, b among them are module constants.  Both passes work
+    through the thread's buffer of ``_SCAN_BUFFER`` doubles
+    (:func:`_profile_columns`), and one C call (``profile_prune``) computes
+    every bound and lists the points left.
+    The bound takes libm's ``log``, which may differ from numpy's by an ulp:
+    it only prunes, and the margin is far above that.
     """
     grid = _theta_grid((1.0 - 1e-9) / xmax, 1e-8 / xbar, 1e7 / xmax)
-    f, gams = np.full(grid.size, np.inf), np.full(grid.size, np.nan)
+    space = _SPACE
+    f, gams = space.grid_f, space.grid_gam
+    f.fill(np.inf)
+    gams.fill(np.nan)
     f[_FIRST], gams[_FIRST] = _profile_columns(grid, x, _FIRST)
-    best = float(f.min())
-
-    a, b = _A, _B
-    ga, gb = gams[a], gams[b]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        chord = ga + (gb - ga) * (grid - grid[a]) / (grid[b] - grid[a])
-        c = np.maximum(chord, np.maximum(ga, -1.0))
-        lr = np.log(gb / grid[b])
-        lr = np.where((grid > 0.0) & (c > 0.0), np.maximum(lr, np.log(c / grid)), lr)
-        bound = np.where(gb <= -1.0, np.inf, lr + c)
-    pruned = bound > best + _SCAN_MARGIN * (1.0 + abs(best))
-    rest = np.flatnonzero(np.isnan(gams) & ~pruned)
-    f[rest], gams[rest] = _profile_columns(grid, x, rest)
-    return grid, f
+    count = _spacing_kernel().profile_prune(
+        grid.ctypes.data, space.ptr["grid_f"], space.ptr["grid_gam"], grid.size, _A_PTR, _B_PTR,
+        _SCAN_MARGIN, space.ptr["rest"],
+    )
+    if count:
+        rest = space.rest[:count]
+        f[rest] = _profile_columns(grid, x, rest)[0]
+    return grid, f.copy()
 
 
 def gp_ml_fit(excesses: Sequence[float]) -> GpMlFit:
@@ -190,12 +229,15 @@ def gp_ml_fit(excesses: Sequence[float]) -> GpMlFit:
     supremum is not attained.  Otherwise ``converged=False`` means that the
     bracket refinement did not converge or that no grid point was feasible.
 
-    Apart from the k x columns ``log1p`` work, a fit costs a few dozen numpy
-    calls: every mean is ``np.add.reduce`` divided by k, the bits ``np.mean``
-    gives, the theta grid is built in one expression, the scan's index arrays
-    are constants, and one min/max pair validates the input.  The result is
-    the same, field for field, as with ``np.mean`` and ``np.geomspace``
-    (``tests/test_estimators.py`` keeps that path as its oracle).
+    Apart from the k x columns ``log1p`` work, a fit makes a few dozen
+    calls: the scan's passes are C loops around numpy's ``log1p`` and
+    ``log`` (:func:`_profile_columns`, :func:`_profile_scan`), every mean is
+    ``np.add.reduce`` divided by k, the bits ``np.mean`` gives, the theta grid
+    is built in one expression, and one min/max pair validates the input.
+    The result is the same, field for field, as with ``np.mean``,
+    ``np.geomspace`` and the numpy scan (``tests/test_estimators.py`` keeps
+    those paths as its oracles), and its fields are Python floats, a bool and
+    an int on every path.
     """
     x = np.asarray(excesses, dtype=float)
     k = x.size
@@ -214,8 +256,8 @@ def gp_ml_fit(excesses: Sequence[float]) -> GpMlFit:
         return GpMlFit(0.0, xbar, -k * (math.log(xbar) + 1.0), False, 0)
 
     i = int(np.argmin(f))
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, grid.size - 1)]
+    a = float(grid[max(i - 1, 0)])
+    b = float(grid[min(i + 1, grid.size - 1)])
 
     theta, converged, iters = _refine_bracket(a, b, x)
     f_star, gam = _profile_objective(theta, x)

@@ -19,25 +19,29 @@ Three routes to the same quantity:
   the value ``math.fsum(w * s)`` gives; a single sample is a batch of one
   row, so the two agree bit for bit.
 
-Exact reduction.  :func:`_exact_sums` sums every row of a matrix of terms at
-once, in blocks of ``_BLOCK_BUDGET`` elements, by error-free extraction (Rump,
-Ogita & Oishi, "Accurate floating-point summation part I", SIAM J. Sci.
-Comput. 31(1), 2008).  With J terms per row, c = ceil(log2(J + 2)) and 2^e
-above the row's largest |p|, each of three levels takes sigma = 2^(c + e)
-and splits p into q = (sigma + p) - sigma and p - q.  Both steps are exact;
-every q is a multiple of 2^-53 sigma with J |q| < sigma, so every partial sum
-of a row's q is a double and the level sum T_k is exact in any order, and
-|p - q| <= 2^-53 sigma.  The row sums to T_1 + T_2 + T_3 + R with
-|R| <= 2^c max|p| over what is left.  r = fsum(T_1, T_2, T_3) is kept when
+Exact reduction.  :func:`_exact_sums` sums every row of a matrix of terms by
+error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point summation
+part I", SIAM J. Sci. Comput. 31(1), 2008).  With J terms per row, c =
+ceil(log2(J + 2)) and 2^e above the row's largest |p|, each of three levels
+takes sigma = 2^(c + e) and splits p into q = (sigma + p) - sigma and p - q.
+Both steps are exact; every q is a multiple of 2^-53 sigma with J |q| < sigma,
+so every partial sum of a row's q is a double and the level sum T_k is exact
+in any order, and |p - q| <= 2^-53 sigma.  The row sums to T_1 + T_2 + T_3 + R
+with |R| <= 2^c max|p| over what is left.  r = fsum(T_1, T_2, T_3) is kept when
 |T_1 + T_2 + T_3 - r|, plus that bound, plus the caller's ``tail``, is below
 half the gap from r to its neighbouring doubles (:func:`_rounds_to`): then r
-is the rounding of the full sum, which is what ``math.fsum`` returns.  A sum exactly halfway between two doubles
-(``math.fsum`` rounds it to even) or a remainder that could move the
-rounding fails the test; those rows, and rows whose largest |term| is not
-finite or lies outside [2^-960, 2^960] (clear of overflow and of the
-subnormal range the extraction lemma excludes), get ``math.fsum`` of the
-row.  Every path therefore keeps the bits of ``math.fsum``, with one Python
-call per row on three numbers instead of one over the whole row.
+is the rounding of the full sum, which is what ``math.fsum`` returns.  A sum
+exactly halfway between two doubles (``math.fsum`` rounds it to even) or a
+remainder that could move the rounding fails the test; those rows, and rows
+whose largest |term| is not finite or lies outside [2^-960, 2^960] (clear of
+overflow and of the subnormal range the extraction lemma excludes), get
+``math.fsum`` of the row.  Every path therefore keeps the bits of
+``math.fsum``, with one Python call per row on three numbers instead of one
+over the whole row.  The extraction is one C loop (``sum_levels`` in
+``_spacing.c``, :func:`_extract`): per row one pass for the largest |p| and
+one per level.  A level sum is exact in any order, so the C loop's running sum
+is the value numpy's pairwise sum gave; the certificate and the fallback stay
+in Python.
 
 Exact weight cut-off (single and batch; the grid shares one full sweep across
 its m).  With L a row's largest |ln spacing|, taken at its smallest or largest
@@ -52,7 +56,12 @@ terms.
 The weights w_j carry their binomial ratios in log space through a
 recursive update, so n = 10^4 and beyond evaluate without overflow; the grid
 builds the rows of a block of m at once from one table of logarithms
-(:func:`_weight_rows`).
+(:func:`_weight_rows`).  Two C passes surround numpy's ``exp``: the running
+sums of the log ratios, each row's additions in the order numpy's
+``cumsum`` takes them, and the block factor with the zero padding, the grid
+multiplying in s_j in the same pass.  Every logarithm and exponential stays
+numpy's or ``math``'s, and C rounds each addition, multiplication and
+division as numpy does, so the weights keep their bits.
 """
 
 from __future__ import annotations
@@ -62,13 +71,14 @@ import ctypes
 import functools
 import math
 import os
+import platform
 import subprocess
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,8 +103,28 @@ _LN2_LO = 4.7493250390316726e-07  # ln 2 - _LN2_HI
 _KERNEL_SOURCE = Path(__file__).with_name("_spacing.c")
 _KERNEL_CACHE = Path(__file__).with_name("__pycache__")
 # no -ffast-math, and no contraction into fused multiply-adds: every operation
-# of the kernel stays one correctly rounded IEEE operation, as in numpy
-_CC_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared")
+# of the kernel stays one correctly rounded IEEE operation, as in numpy; x86
+# hosts with AVX-512 run the vectorised loops in 512-bit registers (same bits)
+_CC_FLAGS = (
+    "-O3", "-march=native",
+    *(("-mprefer-vector-width=512",) if platform.machine() in ("x86_64", "AMD64") else ()),
+    "-ffp-contract=off", "-fPIC", "-shared",
+)
+# the library's functions: result type, then argument types; p a pointer, l a
+# C long, d a double, v no result
+_SIGNATURES = {
+    "spacing_scan": "vplllpppp",
+    "spacing_products": "vpllllpp",
+    "weight_logs": "vplplplp",
+    "weight_factors": "vlpllpp",
+    "sum_levels": "vplllllddpppp",
+    "profile_fill": "vplpplp",
+    "profile_add": "vplllp",
+    "profile_ratio": "vppllpp",
+    "profile_objective": "vpplpp",
+    "profile_prune": "lppplppdp",
+}
+_CTYPES = {"v": None, "p": ctypes.c_void_p, "l": ctypes.c_long, "d": ctypes.c_double}
 
 
 @dataclass(frozen=True)
@@ -125,35 +155,36 @@ def pickands_weights(n: int, m: int) -> PickandsWeights:
     return PickandsWeights(n=n, m=m, j=np.arange(2, n - m + 4), w=_weight_rows(n, [m])[0])
 
 
-def _weight_rows(n: int, ms: Sequence[int]) -> np.ndarray:
-    """Row i holds w_j for m = ms[i], j = 2..n-m+3, zero-padded to the longest row.
+def _weight_rows(n: int, ms: Sequence[int], s: Optional[np.ndarray] = None) -> np.ndarray:
+    """Row i holds w_j for m = ms[i], j = 2..n-m+3, zero-padded to the longest
+    row; with ``s``, every entry t of a row is multiplied by s[t] as well.
 
-    The binomial ratio starts at m(m-1)(m-2)/(n(n-1)(n-m+1)) and follows the
-    recursion ratio_j = ratio_{j-1} * (n-j-m+4)/(n-j+1), accumulated as a
-    row-wise cumulative sum of differences of one table of ln k, k = 1..n; the
-    sign-carrying block factor is applied separately.  Each row equals the
-    same recursion run for its m alone, bit for bit.
+    The binomial ratio starts at m(m-1)(m-2)/(n(n-1)(n-m+1)) (``math.log``
+    in Python) and follows the recursion ratio_j = ratio_{j-1} *
+    (n-j-m+4)/(n-j+1).  ``weight_logs`` (``_spacing.c``) adds the
+    differences of one numpy table of ln k, k = 1..n, left to right along
+    each row, as a row-wise cumulative sum does, and adds the start to each
+    partial sum; numpy's ``exp`` runs in place on the whole block; then
+    ``weight_factors`` multiplies each entry by the sign-carrying block factor
+    2(n-j+1)/(m-2) - j and, given ``s``, by s[t], zeroing the padding first.
+    C and numpy round each subtraction, addition, division and multiplication
+    the same way, so each row equals the same recursion run for its m alone
+    in numpy, bit for bit.
     """
-    steps = n - min(ms) + 1  # recursion steps of the longest row
-    # ln_desc[u] = ln(n - u) for u < n, zero beyond; row m steps by
-    # ln(n-m+1-t) - ln(n-2-t) = ln_desc[m-1+t] - ln_desc[2+t], t = 0..n-m
-    ln_desc = np.zeros(max(ms) - 1 + steps)
-    ln_desc[:n] = np.log(np.arange(n, 0, -1.0))
-    w = np.empty((len(ms), steps + 1))
-    for i, m in enumerate(ms):
-        w[i, 0] = (
-            math.log(m) + math.log(m - 1) + math.log(m - 2)
-            - math.log(n) - math.log(n - 1) - math.log(n - m + 1)
-        )
-        np.subtract(ln_desc[m - 1 : m - 1 + steps], ln_desc[2 : 2 + steps], out=w[i, 1:])
-    np.cumsum(w[:, 1:], axis=1, out=w[:, 1:])
-    w[:, 1:] += w[:, :1]
+    lib = _spacing_kernel()
+    cols = n - min(ms) + 2
+    ln_desc = np.log(np.arange(n, 0, -1.0))  # ln_desc[u] = ln(n - u)
+    head = np.array([
+        math.log(m) + math.log(m - 1) + math.log(m - 2)
+        - math.log(n) - math.log(n - 1) - math.log(n - m + 1)
+        for m in ms
+    ])
+    mv = np.array(ms, dtype=np.int64)
+    w = np.empty((mv.size, cols))
+    mp, wp = mv.ctypes.data, w.ctypes.data
+    lib.weight_logs(ln_desc.ctypes.data, n, mp, mv.size, head.ctypes.data, cols, wp)
     np.exp(w, out=w)
-    js = np.arange(2.0, steps + 3)  # float: the integers j, exactly
-    numer = 2.0 * (n - js + 1)  # block factor numer / (m - 2) - j
-    for i, m in enumerate(ms):
-        w[i] *= numer / (m - 2) - js
-        w[i, n - m + 2 :] = 0.0
+    lib.weight_factors(n, mp, mv.size, cols, None if s is None else s.ctypes.data, wp)
     return w
 
 
@@ -354,8 +385,9 @@ def _spacing_sums(v: np.ndarray, j_hi: int) -> np.ndarray:
 
 @functools.cache
 def _spacing_kernel():
-    """The library of ``_spacing.c`` (``spacing_scan``, ``spacing_products``),
-    compiled unless already cached.
+    """The library of ``_spacing.c`` (the functions of ``_SIGNATURES``: the
+    spacing kernel, the weight and reduction passes of the Pickands paths and
+    the GP profile scan), compiled unless already cached.
 
     The library lives in ``_KERNEL_CACHE`` (the package's ``__pycache__``)
     under the name :func:`_build_command` gives.  The compiler writes a
@@ -417,13 +449,12 @@ def _build_command() -> Tuple[List[str], str]:
 def _load(path: Path):
     try:
         lib = ctypes.CDLL(str(path))
-        scan, products = lib.spacing_scan, lib.spacing_products
+        funcs = [(getattr(lib, name), sig) for name, sig in _SIGNATURES.items()]
     except (OSError, AttributeError) as exc:
         raise KernelUnavailable(f"cannot load {path}: {' '.join(str(exc).split())}") from exc
-    ptr, long = ctypes.c_void_p, ctypes.c_long
-    scan.argtypes = [ptr, long, long, long, long, ptr, ptr, ptr]
-    products.argtypes = [ptr, long, long, long, long, ptr, ptr]
-    scan.restype = products.restype = None
+    for func, sig in funcs:
+        func.restype = _CTYPES[sig[0]]
+        func.argtypes = [_CTYPES[t] for t in sig[1:]]
     return lib
 
 
@@ -489,8 +520,7 @@ def pickands_ustat_grid(sample: SortedSample, m_grid: Sequence[int]) -> Dict[int
     step = max(1, _BLOCK_BUDGET // s.size)
     for b in range(0, len(todo), step):
         block = todo[b : b + step]
-        w = _weight_rows(n, block)
-        w *= s[: w.shape[1]]
+        w = _weight_rows(n, block, s)
         out.update(zip(block, _exact_sums(w, 0.0)[0].tolist()))
     return out
 
@@ -540,41 +570,46 @@ def _exact_sums(P: np.ndarray, tail) -> Tuple[np.ndarray, np.ndarray]:
     Returns the sums and a mask of the rows that are proven; every other row
     gets ``math.fsum`` of the row (module docstring).  ``tail`` is a number
     or one per row.  With tail = 0 every row equals ``math.fsum`` bit for bit.
+    The extraction runs in C (:func:`_extract`); the certificate and the
+    fallback run here, one row at a time.
     """
-    nrow, J = P.shape
+    nrow = P.shape[0]
     tail = np.broadcast_to(np.asarray(tail, dtype=float), (nrow,))
-    c = (J + 1).bit_length()  # 2^c >= J + 2
+    levels, fits, rem = _extract(P)
     out = np.empty(nrow)
     proven = np.zeros(nrow, dtype=bool)
-    step = max(1, _BLOCK_BUDGET // J)
-    for r0 in range(0, nrow, step):
-        block = P[r0 : r0 + step]
-        p = block.copy()
-        q = np.abs(p)
-        top = q.max(axis=1)
-        fits = (top >= _SUM_MIN) & (top <= _SUM_MAX)  # False for inf and NaN
-        if not fits.all():
-            p[~fits] = 0.0
-            top[~fits] = 0.0
-        levels = np.empty((p.shape[0], _LEVELS))
-        for k in range(_LEVELS):
-            # sigma = 2^c 2^e >= (J + 2) max|p|: every q is a multiple of
-            # 2^-53 sigma with J |q| < sigma, so each row of q sums exactly
-            sigma = np.ldexp(1.0, np.frexp(top)[1] + c)[:, None]
-            np.add(p, sigma, out=q)
-            q -= sigma
-            p -= q
-            levels[:, k] = q.sum(axis=1)
-            top = np.abs(p, out=q).max(axis=1)
-        rem = np.ldexp(top, c)  # 2^c max|p| bounds the sum of what is left
-        rows = zip(levels.tolist(), fits.tolist(), rem.tolist(), tail[r0 : r0 + step].tolist())
-        for i, (parts, ok, bound, t) in enumerate(rows):
-            r = math.fsum(parts)
-            if ok and _rounds_to(r, parts, bound, t):
-                out[r0 + i], proven[r0 + i] = r, True
-            else:
-                out[r0 + i] = math.fsum(block[i].tolist())
+    rows = zip(levels.tolist(), fits.tolist(), rem.tolist(), tail.tolist())
+    for i, (parts, ok, bound, t) in enumerate(rows):
+        r = math.fsum(parts)
+        if ok and _rounds_to(r, parts, bound, t):
+            out[i], proven[i] = r, True
+        else:
+            out[i] = math.fsum(P[i].tolist())
     return out, proven
+
+
+def _extract(P: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``_LEVELS`` exact level sums of each row of ``P``, whether its
+    largest |term| lies in [_SUM_MIN, _SUM_MAX] (False for inf and NaN), and
+    2^c times the largest |term| left after the last level (module docstring).
+
+    ``sum_levels`` (``_spacing.c``) takes one pass per row for the largest
+    |term| and one per level, which splits every term and adds up the q of
+    the row: the level sum is exact in any order, so it is the one numpy's
+    pairwise sum gives.  A row that does not fit gets zeros.
+    """
+    P = np.asarray(P, dtype=np.float64)
+    if P.strides[1] != P.itemsize or P.strides[0] % P.itemsize:
+        P = np.ascontiguousarray(P)
+    nrow, J = P.shape
+    levels, rem = np.empty((nrow, _LEVELS)), np.empty(nrow)
+    fits, scratch = np.empty(nrow, dtype=np.int8), np.empty(J)
+    _spacing_kernel().sum_levels(
+        P.ctypes.data, nrow, P.strides[0] // P.itemsize, J, (J + 1).bit_length(), _LEVELS,
+        _SUM_MIN, _SUM_MAX, scratch.ctypes.data, levels.ctypes.data, rem.ctypes.data,
+        fits.ctypes.data,
+    )
+    return levels, fits.view(bool), rem
 
 
 def _rounds_to(r: float, parts: list, remainder: float, tail: float) -> bool:

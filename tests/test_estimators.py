@@ -14,8 +14,13 @@ from xustat.core import (
     pickands_kernel,
     sort_sample,
 )
+from xustat import estimators
 from xustat.estimators import (
     GpMlFit,
+    _A,
+    _B,
+    _FIRST,
+    _SCAN_BUFFER,
     _profile_columns,
     _profile_scan,
     _theta_grid,
@@ -113,6 +118,21 @@ class TestGpMlFit:
         with pytest.raises(TooFewObservations):
             gp_ml_fit([1.0, 2.0, 3.0, 4.0])
 
+    @pytest.mark.parametrize("golden", [True, False])
+    def test_fields_are_python_scalars_on_both_refinement_paths(self, golden, monkeypatch):
+        # the golden section refines a bracket of grid values, brentq a score root
+        scores = []
+        score = estimators._profile_score
+        monkeypatch.setattr(estimators, "_profile_score", lambda t, x: scores.append(t) or score(t, x))
+        if golden:
+            x = [0.0, 0.0, 0.0, 0.0, 1.0]
+        else:
+            x = excesses_over_threshold(dist.sample(dist.gp(0.5), 2000, dist.RngStream(47, 0)), 150)
+        fit = gp_ml_fit(x)
+        assert (len(scores) == 2) == golden  # the bracket's two ends, then no brentq
+        assert [type(v) for v in (fit.gamma_hat, fit.sigma_hat, fit.loglik)] == [float] * 3
+        assert type(fit.converged) is bool and type(fit.iterations) is int
+
     def test_large_k_fit_lands_in_asymptotic_band(self):
         # single fit on k = 5000 excesses of a GP(0.5) sample of size 1e5;
         # 3 sigma band is 3 * (1 + gamma) / sqrt(k)
@@ -195,6 +215,81 @@ class TestProfileScan:
         for j in range(0, 400, 5):
             f, _ = _profile_columns(grid, x, np.array([j]))
             assert f[0] == full[j]
+
+
+# The numpy profile columns and scan that the C passes replaced, kept
+# verbatim but for names: the oracle of the buffered scan, bit for bit.
+def _numpy_profile_columns(grid, x, idx) -> Tuple[np.ndarray, np.ndarray]:
+    cols = idx if idx.size != 1 else np.append(idx, idx[0] - 1 if idx[0] else 1)
+    theta = grid[cols]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = np.multiply.outer(x, theta)
+        g = np.add.reduce(np.log1p(t, out=t), axis=0) / x.size
+        f = np.log(g / theta) + g
+    f[(g <= -1.0) | (g == 0.0) | ~np.isfinite(f)] = np.inf
+    return f[: idx.size], g[: idx.size]
+
+
+def _numpy_profile_scan(x: np.ndarray, xmax: float, xbar: float) -> Tuple[np.ndarray, np.ndarray]:
+    grid = _theta_grid((1.0 - 1e-9) / xmax, 1e-8 / xbar, 1e7 / xmax)
+    f, gams = np.full(grid.size, np.inf), np.full(grid.size, np.nan)
+    f[_FIRST], gams[_FIRST] = _numpy_profile_columns(grid, x, _FIRST)
+    best = float(f.min())
+
+    a, b = _A, _B
+    ga, gb = gams[a], gams[b]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        chord = ga + (gb - ga) * (grid - grid[a]) / (grid[b] - grid[a])
+        c = np.maximum(chord, np.maximum(ga, -1.0))
+        lr = np.log(gb / grid[b])
+        lr = np.where((grid > 0.0) & (c > 0.0), np.maximum(lr, np.log(c / grid)), lr)
+        bound = np.where(gb <= -1.0, np.inf, lr + c)
+    pruned = bound > best + _SCAN_MARGIN * (1.0 + abs(best))
+    rest = np.flatnonzero(np.isnan(gams) & ~pruned)
+    f[rest], gams[rest] = _numpy_profile_columns(grid, x, rest)
+    return grid, f
+
+
+class TestScanOracle:
+    """The buffered C scan gives the numpy scan's bits: every column sum in
+    row order across blocks of the buffer, and a lone column as in a matrix."""
+
+    FAMILIES = TestProfileScan.FAMILIES
+
+    def _excesses(self, k, f_i=1, n=10_000):
+        s = dist.sample(self.FAMILIES[f_i], n, dist.RngStream(45, f_i))
+        return excesses_over_threshold(s, k)
+
+    def _grid(self, x):
+        return _theta_grid((1.0 - 1e-9) / float(x.max()), 1e-8 / float(x.mean()), 1e7 / float(x.max()))
+
+    def _same_columns(self, x, idx):
+        grid = self._grid(x)
+        for got, want in zip(_profile_columns(grid, x, idx), _numpy_profile_columns(grid, x, idx)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("c", [1, 2, 26, 55, 400])
+    def test_columns_around_the_buffer_size(self, c):
+        idx = _FIRST if c == _FIRST.size else np.linspace(0, 399, c).astype(np.int64)
+        rows = _SCAN_BUFFER // c  # rows of one block of the buffer
+        for k in (5, rows - 1, rows, rows + 1, 2 * rows + 1, 7500):
+            if k < 10_000:
+                self._same_columns(self._excesses(k), idx)
+
+    def test_lone_column_at_every_index(self):
+        x = self._excesses(300)
+        for j in range(400):
+            self._same_columns(x, np.array([j]))
+
+    @pytest.mark.parametrize("n", [2000, 10_000])
+    def test_scan_equals_the_numpy_scan(self, n):
+        for f_i in range(len(self.FAMILIES)):
+            s = dist.sample(self.FAMILIES[f_i], n, dist.RngStream(46, f_i))
+            for m in (3, 4, 10, 50, 200):
+                x = excesses_over_threshold(s, paired_k(n, m))
+                args = (x, float(x.max()), float(x.mean()))
+                for got, want in zip(_profile_scan(*args), _numpy_profile_scan(*args)):
+                    assert np.array_equal(got, want)
 
 
 # The fit path before its per-call rework (numpy means, two geomspace calls,

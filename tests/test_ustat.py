@@ -27,9 +27,13 @@ from xustat.core import (
 from xustat.ustat import (
     _BLOCK_BUDGET,
     _EXPONENT_HEADROOM,
+    _LEVELS,
     _LN2_HI,
     _LN2_LO,
+    _SUM_MAX,
+    _SUM_MIN,
     _exact_sums,
+    _extract,
     _spacing_scan,
     _spacing_sums,
     _weight_rows,
@@ -132,6 +136,51 @@ class TestWeightRows:
                     want = _weights_oracle(n, m)
                     assert np.array_equal(row[: want.size], want)
                     assert not row[want.size :].any()
+
+
+def _weight_rows_oracle(n: int, ms) -> np.ndarray:
+    """The numpy weight rows the C passes replaced, kept verbatim."""
+    steps = n - min(ms) + 1  # recursion steps of the longest row
+    # ln_desc[u] = ln(n - u) for u < n, zero beyond; row m steps by
+    # ln(n-m+1-t) - ln(n-2-t) = ln_desc[m-1+t] - ln_desc[2+t], t = 0..n-m
+    ln_desc = np.zeros(max(ms) - 1 + steps)
+    ln_desc[:n] = np.log(np.arange(n, 0, -1.0))
+    w = np.empty((len(ms), steps + 1))
+    for i, m in enumerate(ms):
+        w[i, 0] = (
+            math.log(m) + math.log(m - 1) + math.log(m - 2)
+            - math.log(n) - math.log(n - 1) - math.log(n - m + 1)
+        )
+        np.subtract(ln_desc[m - 1 : m - 1 + steps], ln_desc[2 : 2 + steps], out=w[i, 1:])
+    np.cumsum(w[:, 1:], axis=1, out=w[:, 1:])
+    w[:, 1:] += w[:, :1]
+    np.exp(w, out=w)
+    js = np.arange(2.0, steps + 3)  # float: the integers j, exactly
+    numer = 2.0 * (n - js + 1)  # block factor numer / (m - 2) - j
+    for i, m in enumerate(ms):
+        w[i] *= numer / (m - 2) - js
+        w[i, n - m + 2 :] = 0.0
+    return w
+
+
+class TestWeightRowsOracle:
+    """The C weight passes give the numpy rows' bits, with and without the
+    spacing sums multiplied in, in blocks of every size the grid can take."""
+
+    @pytest.mark.parametrize("n,top", [(10, 10), (2000, 400), (10_000, 200)])
+    def test_blocks_of_every_size(self, n, top):
+        ms = list(range(3, top + 1))
+        s = np.random.default_rng(n).standard_normal(n - 1) * 50.0
+        for size in range(1, 7):
+            for b in range(0, len(ms), size):
+                block = ms[b : b + size]
+                want = _weight_rows_oracle(n, block)
+                assert np.array_equal(_weight_rows(n, block), want)
+                assert np.array_equal(_weight_rows(n, block, s), want * s[: want.shape[1]])
+
+    def test_unsorted_and_repeated_block_sizes(self):
+        for block in ([9, 3, 5], [4, 4], [10, 3, 7, 3, 8, 6, 5, 9, 4]):
+            assert np.array_equal(_weight_rows(10, block), _weight_rows_oracle(10, block))
 
 
 class TestOverlapPmf:
@@ -456,6 +505,81 @@ class TestExactSums:
         got, proven = _exact_sums(mat, 0.0)
         assert proven.all()
         assert got.tolist() == [math.fsum(row) for row in mat.tolist()]
+
+
+def _extract_oracle(P: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The numpy extraction of :func:`_exact_sums` that the C pass replaced,
+    kept verbatim: level sums, whether each row fits, and the remainder bound."""
+    nrow, J = P.shape
+    c = (J + 1).bit_length()  # 2^c >= J + 2
+    step = max(1, _BLOCK_BUDGET // J)
+    parts = []
+    for r0 in range(0, nrow, step):
+        block = P[r0 : r0 + step]
+        p = block.copy()
+        q = np.abs(p)
+        top = q.max(axis=1)
+        fits = (top >= _SUM_MIN) & (top <= _SUM_MAX)  # False for inf and NaN
+        if not fits.all():
+            p[~fits] = 0.0
+            top[~fits] = 0.0
+        levels = np.empty((p.shape[0], _LEVELS))
+        for k in range(_LEVELS):
+            # sigma = 2^c 2^e >= (J + 2) max|p|: every q is a multiple of
+            # 2^-53 sigma with J |q| < sigma, so each row of q sums exactly
+            sigma = np.ldexp(1.0, np.frexp(top)[1] + c)[:, None]
+            np.add(p, sigma, out=q)
+            q -= sigma
+            p -= q
+            levels[:, k] = q.sum(axis=1)
+            top = np.abs(p, out=q).max(axis=1)
+        rem = np.ldexp(top, c)  # 2^c max|p| bounds the sum of what is left
+        parts.append((levels, fits, rem))
+    return tuple(np.concatenate(a) for a in zip(*parts))
+
+
+class TestExtractOracle:
+    """The C extraction gives the numpy extraction's level sums, fits and
+    remainder bounds bit for bit."""
+
+    def _same(self, mat):
+        mat = np.asarray(mat, dtype=float)
+        with np.errstate(invalid="ignore"):
+            want = _extract_oracle(mat)
+        for got, ref in zip(_extract(mat), want):
+            assert np.array_equal(got, ref)
+
+    @given(rows=st.lists(_summands(), min_size=1, max_size=6))
+    @example(rows=[_REMAINDER_DECIDES, [1.0, 2.0**-53], [3.0, -(2.0**-52)]])
+    @settings(max_examples=300, deadline=None)
+    def test_summand_rows(self, rows):
+        self._same(_matrix(rows))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_terms_at_every_position(self, bad):
+        mat = np.tile(np.linspace(-3.0, 5.0, 19), (19, 1))
+        mat[np.arange(19), np.arange(19)] = bad
+        self._same(mat)
+
+    def test_largest_term_outside_the_extraction_range(self):
+        edge = [2.0**960, 2.0**961, 2.0**-960, 2.0**-961, 1.7e308, 1e-310, 5e-324]
+        self._same([[x, -x / 3, x / 7] for x in edge] + [[x] + [2.0**-1000] * 2 for x in edge])
+
+    def test_zero_rows_and_single_terms(self):
+        self._same(np.zeros((3, 5)))
+        self._same([[-0.0, 0.0, -0.0]])
+        self._same([[1.0], [0.0], [-2.5e-300], [math.nan], [3.0**40]])
+
+    def test_halfway_sums(self):
+        rows = [[1.0, 2.0**-53], [3.0, -(2.0**-52)], [2.0**60, 2.0**7], [2.0**60, 2.0**7, -(2.0**-40)]]
+        self._same(_matrix(rows))
+
+    def test_blocks_longer_than_eight_terms(self):
+        rng = np.random.default_rng(26)
+        for J in (7, 8, 9, 17, 1983, 9998):
+            mat = rng.standard_normal((5, J)) * np.exp(rng.uniform(-40, 40, (5, J)))
+            self._same(mat)
+            self._same(mat[:, ::-1])
 
 
 class TestTracedCallPaths:
@@ -1010,6 +1134,29 @@ class TestKernelBuild:
         assert err.startswith("error: KernelUnavailable: cannot run /no/such/cc")
         assert err.count("\n") == 1
 
+
+    def test_fit_and_weights_without_a_compiler(self, cache, monkeypatch, capsys):
+        monkeypatch.setitem(sysconfig.get_config_vars(), "CC", "/no/such/cc")
+        with pytest.raises(KernelUnavailable, match="cannot run /no/such/cc"):
+            estimators.gp_ml_fit(np.arange(1.0, 40.0) ** 1.5)
+        with pytest.raises(KernelUnavailable, match="cannot run /no/such/cc"):
+            pickands_weights(50, 5)
+        code = cli.main(["weights", "--n", "50", "--m", "5"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: KernelUnavailable: cannot run /no/such/cc")
+        assert err.count("\n") == 1
+
+    def test_one_build_and_one_load_serve_every_path(self, cache, monkeypatch):
+        calls = self._count_compiles(monkeypatch)
+        loads = []
+        load = ustat._load
+        monkeypatch.setattr(ustat, "_load", lambda path: loads.append(path) or load(path))
+        pickands_weights(120, 7)
+        pickands_ustat_grid(sort_sample(self.ROWS[0]), [3, 5, 40])
+        pickands_ustat_batch(self.ROWS, 10)
+        estimators.gp_ml_fit(self.ROWS[0, :60] - self.ROWS[0, 60])
+        assert len(calls) == 1 and len(loads) == 1
 
 class TestSmoothing:
     def test_ustat_variance_not_above_disjoint_blocks(self):
