@@ -22,8 +22,11 @@ holdout seed runs one extra pair reported on its own; a traced seed runs
 parent's, the change wins at least 9 of 10 pairs (the same share of other
 counts) and every holdout pair, its median is better by at least GAIN (a
 fraction), and the gap between the medians exceeds the parent's
-interquartile range.  The file is rewritten after every run, so an
-interrupted run keeps what it measured.
+interquartile range.  Every workload also gets a no-regression verdict per
+end-to-end metric (:func:`bound_verdict`): "within bound", "worse beyond
+bound" or "unresolved", with the margin left to the metric's ``bound`` in
+BENCHMARK.json.  The file is rewritten after every run, so an interrupted
+run keeps what it measured.
 """
 
 from __future__ import annotations
@@ -144,6 +147,45 @@ def claim_verdict(entry: dict, pairs: List[Dict[str, dict]], holdouts: List[Dict
     }
 
 
+def bound_verdict(entry: dict, metric: str, direction: str, bound: float) -> dict:
+    """The change's median against the parent's, for a metric that may worsen
+    by at most ``bound`` (a fraction of the parent's median).
+
+    ``worse_by`` is the relative change in the worse direction and ``margin``
+    what is left of the bound.  The verdict is "unresolved" when the parent's
+    quartile spread, relative to its median, is wider than the bound and not
+    every run of the change is better than every run of the parent: such a
+    spread cannot tell a change within the bound from one beyond it.
+    Otherwise it is "worse beyond bound" when ``worse_by`` exceeds the bound,
+    else "within bound".
+    """
+    p, c = entry.get("parent", {}).get(metric), entry.get("change", {}).get(metric)
+    if not p or not c or not p["median"]:
+        return {"bound": bound, "verdict": "unresolved", "reason": "metric missing or zero"}
+    worse = (c["median"] - p["median"]) / p["median"]
+    if direction == "higher":
+        worse = -worse
+    spread = (p["q3"] - p["q1"]) / p["median"]
+    clear = (min(c["runs"]) > max(p["runs"]) if direction == "higher"
+             else max(c["runs"]) < min(p["runs"]))
+    if spread > bound and not clear:
+        verdict = "unresolved"
+    elif worse > bound:
+        verdict = "worse beyond bound"
+    else:
+        verdict = "within bound"
+    return {
+        "parent_median": p["median"],
+        "change_median": c["median"],
+        "worse_by": round(worse, 4),
+        "bound": bound,
+        "margin": round(bound - worse, 4),
+        "parent_quartile_spread": round(spread, 4),
+        "every_change_run_better": clear,
+        "verdict": verdict,
+    }
+
+
 def machine() -> dict:
     try:
         import numpy
@@ -179,6 +221,7 @@ def main() -> int:
         spec = json.load(fh)
     seconds = spec["run_seconds"]
     directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     metrics = list(directions)
     doc = {
         "change": args.note,
@@ -214,6 +257,7 @@ def main() -> int:
                     entry[side] = summary([p[side] for p in pairs], metrics)
                 entry["change_better_pairs"] = {
                     m: "{} of {}".format(*pairs_won(pairs, m, directions[m])) for m in metrics}
+                entry["bounds"] = {m: bound_verdict(entry, m, directions[m], bounds[m]) for m in metrics}
             elif kind == "holdout":
                 holdouts.append(pair)
                 entry[f"holdout_seed_{seed}"] = {

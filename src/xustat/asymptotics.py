@@ -22,11 +22,12 @@ from .core import (
     pickands_g_prime,
     pickands_kernel_vec,
 )
-from .dist import RngStream, h_gamma
+from .dist import RngStream, _h_gamma_inplace, h_gamma
 from .ustat import pickands_ustat, pickands_ustat_batch
 
 _EULER_GAMMA = 0.5772156649015328606
 _SIGMA2_BATCHES = 20  # sigma2_integral_mc: batches whose spread gives its stderr
+_RESAMPLE_BUDGET = 6_250_000  # doubles (50 MB) of _gp_resample_estimates' sample buffer
 
 
 @dataclass(frozen=True)
@@ -170,17 +171,27 @@ def _gp_resample_estimates(
 ) -> np.ndarray:
     """Pickands estimates at block size m on ``reps`` fresh GP(gamma) samples of size n.
 
-    Samples are drawn in chunks of at most ~50 MB; a sample with a tie in
-    the touched index range gives NaN.
+    The samples pass through one buffer of at most ``_RESAMPLE_BUDGET``
+    doubles, allocated once and reused chunk by chunk: ``Generator.random``
+    fills it, 1/(1 - u), h_gamma (:func:`~xustat.dist._h_gamma_inplace`) and
+    the row sort run in place, and the batch kernel reads the rows' reversed
+    view.  Each step applies the numpy ufunc, in the same order, that the
+    out-of-place ``np.sort(h_gamma(gamma, 1 / (1 - u)))[:, ::-1]`` applies,
+    so the estimates keep its bits.  A sample with a tie in the touched index
+    range gives NaN.
     """
     g = rng.generator()
     est = np.empty(reps)
-    chunk = max(1, min(reps, 50_000_000 // (n * 8)))
+    chunk = max(1, min(reps, _RESAMPLE_BUDGET // n))
+    buf = np.empty((chunk, n))
     for start in range(0, reps, chunk):
-        stop = min(start + chunk, reps)
-        u = g.random((stop - start, n))
-        z = np.sort(h_gamma(gamma, 1.0 / (1.0 - u)), axis=1)[:, ::-1]
-        est[start:stop] = pickands_ustat_batch(z, m)
+        z = buf[: min(chunk, reps - start)]
+        g.random(out=z)
+        np.subtract(1.0, z, out=z)
+        np.divide(1.0, z, out=z)
+        _h_gamma_inplace(gamma, z)
+        z.sort(axis=1)
+        est[start : start + z.shape[0]] = pickands_ustat_batch(z[:, ::-1], m)
     return est
 
 

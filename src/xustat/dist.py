@@ -126,18 +126,28 @@ def h_gamma(gamma: float, y):
 
     expm1 keeps the evaluation stable through gamma -> 0; y must be positive.
     Where y^gamma overflows (gamma ln y above about 709) the result is inf,
-    without a numpy warning; callers count it as a failed draw.
+    without a numpy warning; callers count it as a failed draw.  The
+    argument is left unchanged: the evaluation (:func:`_h_gamma_inplace`)
+    runs on a copy.
     """
-    y = np.asarray(y, dtype=float)
+    y = np.array(y, dtype=float)
     if np.any(y <= 0.0) or not np.all(np.isfinite(y)):
         raise NonPositiveArgument("h_gamma needs a positive finite argument")
-    ly = np.log(y)
-    if gamma == 0.0:
-        out = ly
-    else:
+    _h_gamma_inplace(gamma, y)
+    return float(y) if y.ndim == 0 else y
+
+
+def _h_gamma_inplace(gamma: float, y: np.ndarray) -> None:
+    """Overwrite the float64 array y (positive, finite, unchecked) with
+    h_gamma(gamma, y): ln y, then gamma times it, expm1 and the division by
+    gamma, each one numpy ufunc in place, so the bits are those of the
+    out-of-place expression np.expm1(gamma * np.log(y)) / gamma."""
+    np.log(y, out=y)
+    if gamma != 0.0:
+        np.multiply(y, gamma, out=y)
         with np.errstate(over="ignore"):
-            out = np.expm1(gamma * ly) / gamma
-    return float(out) if out.ndim == 0 else out
+            np.expm1(y, out=y)
+        np.divide(y, gamma, out=y)
 
 
 def quantile(spec: DistributionSpec, u):

@@ -57,9 +57,9 @@ class GpMlFit:
     iterations: int
 
     def __post_init__(self):
-        if self.gamma_hat <= -1.0:
+        if not self.gamma_hat > -1.0:  # NaN fails too
             raise ArgumentOutOfRange("GP ML estimate constrained to gamma > -1")
-        if self.sigma_hat <= 0.0:
+        if not self.sigma_hat > 0.0:
             raise ArgumentOutOfRange("scale must be positive")
 
 
@@ -195,9 +195,17 @@ def _profile_scan(x: np.ndarray, xmax: float, xbar: float) -> Tuple[np.ndarray, 
     (:func:`_profile_columns`), and one C call (``profile_prune``) computes
     every bound and lists the points left.
     The bound takes libm's ``log``, which may differ from numpy's by an ulp:
-    it only prunes, and the margin is far above that.
+    it only prunes, and the margin is far above that.  Excesses so small
+    that twice a grid end overflows (max(x) below about 1.1e-301: the end
+    1e7/max(x), and the golden section's a + b) raise ArgumentOutOfRange;
+    they would give an all-NaN fit.
     """
-    grid = _theta_grid((1.0 - 1e-9) / xmax, 1e-8 / xbar, 1e7 / xmax)
+    ends = ((1.0 - 1e-9) / xmax, 1e-8 / xbar, 1e7 / xmax)
+    if not 2.0 * max(ends) < math.inf:  # the golden section adds two grid points: 0.5 (a + b)
+        raise ArgumentOutOfRange(
+            f"excesses too small for the theta grid: max(x) = {xmax!r}"
+        )
+    grid = _theta_grid(*ends)
     space = _SPACE
     f, gams = space.grid_f, space.grid_gam
     f.fill(np.inf)

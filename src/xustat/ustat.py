@@ -532,6 +532,13 @@ def pickands_ustat_batch(values: np.ndarray, m: int) -> np.ndarray:
     exactly rounded sum of all w_j s_j, from only the terms that can move it
     (module docstring).  Rows with a tie within the touched index range yield
     NaN instead of raising, so large Monte Carlo sweeps can count failures.
+
+    The kept terms are reduced block by block: each block of about
+    ``_BLOCK_BUDGET // (K + 1)`` rows gets its s_j (:func:`_spacing_sums`),
+    is multiplied by w_j and summed (:func:`_exact_sums`) while it is still
+    in cache, so the rows x K term matrix is never built in full.  Every row's
+    terms and sum are independent of the block, so the bits do not change.
+    Rows the certificate does not prove are summed again at full length.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 2:
@@ -552,9 +559,13 @@ def pickands_ustat_batch(values: np.ndarray, m: int) -> np.ndarray:
     tail = 2.0 * np.cumsum((np.abs(w) * np.arange(1, w.size + 1))[::-1])[::-1]
     bound = np.abs(np.log([small, large])).max(axis=0)  # L per row
     k = int(np.count_nonzero(tail >= _CUT_TARGET / bound.max()))
-    kept = _spacing_sums(v, k + 1)
-    kept *= w[:k]
-    est, proven = _exact_sums(kept, bound * tail[k] if k < w.size else 0.0)
+    cut = bound * (tail[k] if k < w.size else 0.0)
+    est, proven = np.empty(bound.size), np.empty(bound.size, dtype=bool)
+    step = max(1, _BLOCK_BUDGET // (k + 1))
+    for r0 in range(0, bound.size, step):
+        kept = _spacing_sums(v[r0 : r0 + step], k + 1)
+        kept *= w[:k]
+        est[r0 : r0 + step], proven[r0 : r0 + step] = _exact_sums(kept, cut[r0 : r0 + step])
     if k < w.size and not proven.all():
         redo = np.flatnonzero(~proven)
         full = _spacing_sums(v[redo], j_hi)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
-from xustat import dist
+from xustat import asymptotics, dist
 from xustat.asymptotics import (
     _gp_resample_estimates,
     bias_bk_mc,
@@ -17,7 +18,8 @@ from xustat.asymptotics import (
     sigma2_integral_mc,
     sigma2_kvar_mc,
 )
-from xustat.core import ArgumentOutOfRange
+from xustat.core import ArgumentOutOfRange, NonPositiveArgument
+from xustat.ustat import pickands_ustat_batch
 
 
 def _stream(sid=0, *path):
@@ -211,6 +213,34 @@ class TestSigma2Routes:
             sigma2_kvar_mc(0.0, 100, 5, 10, _stream())
 
 
+def _old_h_gamma(gamma, y):
+    """dist.h_gamma as it was before it evaluated in place, verbatim."""
+    y = np.asarray(y, dtype=float)
+    if np.any(y <= 0.0) or not np.all(np.isfinite(y)):
+        raise NonPositiveArgument("h_gamma needs a positive finite argument")
+    ly = np.log(y)
+    if gamma == 0.0:
+        out = ly
+    else:
+        with np.errstate(over="ignore"):
+            out = np.expm1(gamma * ly) / gamma
+    return float(out) if out.ndim == 0 else out
+
+
+def _old_gp_resample_estimates(gamma, n, m, reps, rng):
+    """The resample loop before its reused buffer, verbatim: every step
+    allocates a new (chunk, n) array."""
+    g = rng.generator()
+    est = np.empty(reps)
+    chunk = max(1, min(reps, 50_000_000 // (n * 8)))
+    for start in range(0, reps, chunk):
+        stop = min(start + chunk, reps)
+        u = g.random((stop - start, n))
+        z = np.sort(_old_h_gamma(gamma, 1.0 / (1.0 - u)), axis=1)[:, ::-1]
+        est[start:stop] = pickands_ustat_batch(z, m)
+    return est
+
+
 class TestGpResample:
     def test_overflowing_draws_fail_without_a_numpy_warning(self):
         # y^60 overflows for the largest uniform draws: those samples hold inf
@@ -218,6 +248,37 @@ class TestGpResample:
             warnings.simplefilter("error", RuntimeWarning)
             est = _gp_resample_estimates(60.0, 2000, 20, 50, dist.RngStream(1, 0))
         assert np.isfinite(est).sum() == 48 and np.isnan(est).sum() == 2
+
+    @pytest.mark.parametrize("gamma", [-0.9, -0.5, 0.0, 0.02, 0.5, 2.0, 60.0])
+    @pytest.mark.parametrize("n,m,reps", [(40, 3, 30), (400, 8, 120), (2000, 20, 40)])
+    def test_equals_the_allocating_loop(self, gamma, n, m, reps):
+        got = _gp_resample_estimates(gamma, n, m, reps, _stream(30, n))
+        want = _old_gp_resample_estimates(gamma, n, m, reps, _stream(30, n))
+        assert np.array_equal(got, want, equal_nan=True)
+        if gamma == 60.0 and n == 2000:
+            assert np.isnan(got).any()  # overflowing rows are NaN on both paths
+
+    @pytest.mark.parametrize("gamma", [-0.5, 0.5, 60.0])
+    @pytest.mark.parametrize("rows", [1, 7, 30])
+    def test_chunks_with_a_short_last_one(self, gamma, rows, monkeypatch):
+        # 64 samples in chunks of 1 row, of 7 (the last of 1) and of 30 (the last of 4)
+        n, reps = 300, 64
+        want = _old_gp_resample_estimates(gamma, n, 10, reps, _stream(31))
+        monkeypatch.setattr(asymptotics, "_RESAMPLE_BUDGET", rows * n + n - 1)
+        assert np.array_equal(_gp_resample_estimates(gamma, n, 10, reps, _stream(31)), want,
+                              equal_nan=True)
+
+    def test_peak_memory_stays_near_one_sample_matrix(self):
+        # the allocating loop peaked at 5.0 times the 200 x 2000 matrix
+        args = (0.5, 2000, 20, 200)
+        _gp_resample_estimates(*args, dist.RngStream(1, 0))  # build and load the kernel first
+        tracemalloc.start()
+        try:
+            _gp_resample_estimates(*args, dist.RngStream(1, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 200 * 2000 * 8
 
 
 class TestBootstrap:

@@ -31,6 +31,22 @@ class TestHGamma:
         with pytest.raises(NonPositiveArgument):
             dist.h_gamma(0.5, -1.0)
 
+    @pytest.mark.parametrize("gamma", [-0.9, 0.0, 0.02, 0.5, 60.0])
+    def test_leaves_its_argument_and_keeps_the_out_of_place_bits(self, gamma):
+        y = 1.0 / (1.0 - np.random.default_rng(3).random((7, 300)))
+        before = y.copy()
+        with np.errstate(over="ignore"):
+            old = np.log(y) if gamma == 0.0 else np.expm1(gamma * np.log(y)) / gamma
+        got = dist.h_gamma(gamma, y)
+        assert np.array_equal(y, before) and got is not y
+        assert np.array_equal(got, old)
+        assert np.array_equal(dist.h_gamma(gamma, y.tolist()), old)
+
+    @pytest.mark.parametrize("y", [2.0, np.float64(2.0), np.array(2.0), 2])
+    def test_scalar_gives_a_float(self, y):
+        out = dist.h_gamma(0.5, y)
+        assert type(out) is float and out == float(np.expm1(0.5 * np.log(2.0)) / 0.5)
+
 
 class TestGpQuantile:
     def test_exponential_quantile(self):

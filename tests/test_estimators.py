@@ -1,4 +1,5 @@
 import math
+import warnings
 from typing import Tuple
 
 import numpy as np
@@ -117,6 +118,26 @@ class TestGpMlFit:
     def test_too_few(self):
         with pytest.raises(TooFewObservations):
             gp_ml_fit([1.0, 2.0, 3.0, 4.0])
+
+    @pytest.mark.parametrize("xmax", [1e-310, 1e-305, 1e-301])
+    def test_tiny_excesses_raise_instead_of_an_all_nan_fit(self, xmax):
+        # 1e7 / max(x) overflows below about 5.6e-302, and the golden
+        # section's a + b up to about 1.1e-301: both used to give NaN fields
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ArgumentOutOfRange, match="too small"):
+                gp_ml_fit([0.0, 0.0, 0.0, 0.0, xmax])
+        # the smallest scale that still fits is that of [0, 0, 0, 0, 1]
+        base, small = gp_ml_fit([0.0, 0.0, 0.0, 0.0, 1.0]), gp_ml_fit([0.0, 0.0, 0.0, 0.0, 1.2e-301])
+        assert small.gamma_hat == base.gamma_hat and math.isfinite(small.loglik)
+
+    @pytest.mark.parametrize("field,value", [("gamma_hat", math.nan), ("sigma_hat", math.nan),
+                                             ("gamma_hat", -1.0), ("sigma_hat", 0.0)])
+    def test_record_rejects_nan_and_out_of_range_fields(self, field, value):
+        fields = {"gamma_hat": 0.5, "sigma_hat": 1.0, "loglik": -3.0, "converged": True,
+                  "iterations": 4, field: value}
+        with pytest.raises(ArgumentOutOfRange):
+            GpMlFit(**fields)
 
     @pytest.mark.parametrize("golden", [True, False])
     def test_fields_are_python_scalars_on_both_refinement_paths(self, golden, monkeypatch):

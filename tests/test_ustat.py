@@ -19,6 +19,7 @@ from xustat.core import (
     DegenerateSpacing,
     InstanceTooLarge,
     KernelUnavailable,
+    NonFiniteInput,
     PICKANDS_KERNEL,
     TopQKernel,
     pickands_kernel,
@@ -414,6 +415,51 @@ class TestWeightCutoff:
         assert list(pickands_ustat_batch(mat, 40)) == _full_sums(mat, 40)
         assert passed == [False] * 3
 
+    def test_batch_blocks_with_ties_inf_and_fallback_rows(self, monkeypatch):
+        # 90 rows of n = 2000 at m = 20 keep K ~ 1900 terms: blocks of about
+        # 34 rows, the last one short; rows 5 and 40 hold a tie, row 70 an inf
+        rng = np.random.default_rng(29)
+        mat = np.sort(rng.standard_cauchy((90, 2000)), axis=1)[:, ::-1].copy()
+        mat[10::3] *= 1e150
+        mat[11::3] += 1e6
+        mat[5, 7] = mat[5, 6]
+        mat[40, 1500] = mat[40, 1501]
+        mat[70, 0] = np.inf
+        want = []
+        for row in mat:
+            try:
+                want.append(pickands_ustat(sort_sample(row), 20))
+            except (DegenerateSpacing, NonFiniteInput):
+                want.append(math.nan)
+        # every fourth cut row is refused its certificate and summed again in full
+        cut, blocks, tails = [], [], []
+        rounds_to, exact_sums = ustat._rounds_to, ustat._exact_sums
+
+        def refuse_some(r, parts, remainder, tail):
+            if tail > 0.0:
+                cut.append(r)
+                if len(cut) % 4 == 0:
+                    return False
+            return rounds_to(r, parts, remainder, tail)
+
+        def count_blocks(P, tail):
+            blocks.append(P.shape[0])
+            tails.append(np.broadcast_to(tail, P.shape[0]).copy())
+            return exact_sums(P, tail)
+
+        monkeypatch.setattr(ustat, "_rounds_to", refuse_some)
+        monkeypatch.setattr(ustat, "_exact_sums", count_blocks)
+        got = pickands_ustat_batch(mat, 20)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(got).sum() == 3 and len(cut) == 87
+        # three blocks of cut rows, then one full-length block of the refused ones
+        assert len(blocks) == 4 and blocks[-1] == 87 // 4 and sum(blocks[:-1]) == 87
+        # each cut row's tail is its own largest |ln spacing| times one constant
+        prefix, small, large = _spacing_scan(mat, 1983)
+        largest = np.abs(np.log([small, large])).max(axis=0)[prefix == 1983]
+        ratio = np.concatenate(tails[:3]) / largest
+        assert ratio[0] > 0.0 and np.allclose(ratio, ratio[0], rtol=1e-12, atol=0.0)
+
     def test_row_blocks_match_single_rows(self):
         # 700 columns make blocks of 93 rows, so 200 rows take three blocks
         rng = np.random.default_rng(23)
@@ -608,6 +654,18 @@ class TestTracedCallPaths:
         assert len(sums) == 1
         pickands_ustat_batch(np.stack([x.values, x.values * 2.0]), 10)
         assert len(weights) == 1
+
+    @pytest.mark.parametrize("route", ["parametric_bootstrap", "sigma2_kvar_mc"])
+    def test_resamples_reach_the_batch_kernel_by_name(self, route, monkeypatch):
+        # the tracer's batch spans and ns_per_log come from this binding
+        batches = self._count(monkeypatch, "pickands_ustat_batch", asymptotics)
+        rng = dist.RngStream(30, 0)
+        if route == "parametric_bootstrap":
+            x = dist.sample(dist.gp(0.5), 300, dist.RngStream(31, 0))
+            asymptotics.parametric_bootstrap(x, 10, 200, 0.9, rng)
+        else:
+            asymptotics.sigma2_kvar_mc(0.5, 300, 10, 100, rng)
+        assert len(batches) == 1
 
     def test_paired_fits_reach_gp_ml_fit_by_name(self, monkeypatch):
         fits = self._count(monkeypatch, "gp_ml_fit", harness)
