@@ -37,7 +37,7 @@ class VarianceEstimate:
     stderr: float
 
     def __post_init__(self):
-        if self.sigma2 < 0 or self.stderr < 0:
+        if not self.sigma2 >= 0 or not self.stderr >= 0:  # NaN fails too
             raise ArgumentOutOfRange("variance and stderr must be nonnegative")
 
 
@@ -105,15 +105,8 @@ def digamma_moments(gamma: float) -> DigammaMoments:
     """
     psi1 = -_EULER_GAMMA  # digamma(1)
     if abs(gamma) < 1e-10:
-        ln2 = math.log(2.0)
-        e_ln_z = psi1
-        e_ln_z22 = psi1 + ln2
-        e_ln_z12 = psi1 - ln2
-        diff = ln2  # psi-type difference shared by u1 and u2
-        u1 = 0.0 + diff
-        u2 = 2.0 * diff
-        kernel_mean = 0.0
-        return DigammaMoments(e_ln_z, e_ln_z22, e_ln_z12, u1, u2, kernel_mean)
+        ln2 = math.log(2.0)  # the psi-type difference shared by u1 and u2
+        return DigammaMoments(psi1, psi1 + ln2, psi1 - ln2, ln2, 2.0 * ln2, 0.0)
     from scipy.special import digamma
 
     if gamma > 0:
@@ -134,13 +127,21 @@ def digamma_moments(gamma: float) -> DigammaMoments:
     return DigammaMoments(e_ln_z, e_ln_z22, e_ln_z12, u1, u2, kernel_mean)
 
 
+def _h_finite(gamma: float, y) -> np.ndarray:
+    z = h_gamma(gamma, y)
+    if np.isinf(z).any():
+        raise ArgumentOutOfRange(f"h_gamma overflows on a draw at gamma={gamma!r}")
+    return z
+
+
 def bias_bk_mc(gamma: float, rho: float, reps: int, rng: RngStream) -> BiasEstimate:
     """Monte Carlo evaluation of the asymptotic bias constant B_K(rho, gamma).
 
     Draws pairs of Pareto(1) variables, evaluates the Pickands kernel
     partials at (h_gamma(Y_{2:2}), h_gamma(Y_{1:2}), 0), weights them with
     H_{gamma,rho} at the Pareto points, and scales by the Erlang moment
-    E[S_3^(-rho)] = Gamma(3 - rho)/Gamma(3).
+    E[S_3^(-rho)] = Gamma(3 - rho)/Gamma(3).  A draw on which h_gamma
+    overflows raises ArgumentOutOfRange.
     """
     if not rho < 0.0:
         raise ArgumentOutOfRange("need rho < 0")
@@ -152,8 +153,8 @@ def bias_bk_mc(gamma: float, rho: float, reps: int, rng: RngStream) -> BiasEstim
     y = 1.0 / (1.0 - g.random((reps, 2)))
     y22 = np.maximum(y[:, 0], y[:, 1])
     y12 = np.minimum(y[:, 0], y[:, 1])
-    x1 = h_gamma(gamma, y22)
-    x2 = h_gamma(gamma, y12)
+    x1 = _h_finite(gamma, y22)
+    x2 = _h_finite(gamma, y12)
     gp = pickands_g_prime(np.log(x1 - x2) - np.log(x2))
     h22 = h_gamma_rho(y22, gamma, rho)
     h12 = h_gamma_rho(y12, gamma, rho)
@@ -254,7 +255,8 @@ def sigma2_integral_mc(
     shared across nodes; each batch uses the unbiased split-half product of
     means instead of a squared mean, and the kernel value without the Erlang
     point (mean exactly gamma) is subtracted as an exact control variate so
-    the node noise decays with the Erlang tail.
+    the node noise decays with the Erlang tail.  A draw on which h_gamma
+    overflows raises ArgumentOutOfRange.
     """
     if inner_reps < 10_000:
         raise ArgumentOutOfRange("need at least 1e4 inner replications")
@@ -272,7 +274,7 @@ def sigma2_integral_mc(
     half = per_batch // 2
     vals = np.empty(_SIGMA2_BATCHES)
     for bi in range(_SIGMA2_BATCHES):
-        z = h_gamma(gamma, 1.0 / (1.0 - g.random((per_batch, 2))))
+        z = _h_finite(gamma, 1.0 / (1.0 - g.random((per_batch, 2))))
         z22 = np.maximum(z[:, 0], z[:, 1])
         z12 = np.minimum(z[:, 0], z[:, 1])
         s3 = g.standard_gamma(3.0, size=per_batch)
@@ -280,7 +282,7 @@ def sigma2_integral_mc(
         means_a = np.empty(quad_nodes)
         means_b = np.empty(quad_nodes)
         for i, xi in enumerate(x_nodes):
-            d = _kernel_with_extra_point(z22, z12, base, h_gamma(gamma, s3 / xi))
+            d = _kernel_with_extra_point(z22, z12, base, _h_finite(gamma, s3 / xi))
             means_a[i] = d[:half].mean()
             means_b[i] = d[half:].mean()
         vals[bi] = float(np.sum(weight * means_a * means_b))

@@ -126,7 +126,7 @@ def h_gamma(gamma: float, y):
 
     expm1 keeps the evaluation stable through gamma -> 0; y must be positive.
     Where y^gamma overflows (gamma ln y above about 709) the result is inf,
-    without a numpy warning; callers count it as a failed draw.  The
+    without a numpy warning, for the caller to count or reject.  The
     argument is left unchanged: the evaluation (:func:`_h_gamma_inplace`)
     runs on a copy.
     """

@@ -4,7 +4,8 @@ Three routes to the same quantity:
 
 * :func:`brute_force_ustat` enumerates every size-m subset (the oracle),
 * :func:`topq_weighted_ustat` sums kernel values over rank tuples weighted by
-  the number of subsets whose top q lands on those ranks,
+  the share of subsets whose top q lands on those ranks, an integer ratio
+  rounded once, as is each probability of :func:`overlap_pmf`,
 * the Pickands evaluators (single, grid and batch) evaluate the
   explicit formula U = sum_j w_j s_j.  All take s_j from one O(n^2) kernel,
   :func:`_spacing_sums`: a C loop (``_spacing.c``, compiled on first use and
@@ -12,9 +13,10 @@ Three routes to the same quantity:
   per pass, under exact power-of-two renormalisation every r' = 4 floor(r/4)
   ranks, each product taking its factors in rank order, and numpy takes one
   log per s_j, so s_j is within (j-2)u + |s_j|u + 2u (u = 2^-53) of the
-  exact sum of logs and does not depend on the tile, the row block or how
-  far the sweep runs.  They apply one tie rule, the C scan of
-  :func:`_spacing_scan`, and one reduction,
+  exact sum of logs and does not depend on the tile, the other rows or how
+  far the sweep runs; the batch passes it blocks of about ``_BLOCK_BUDGET``
+  elements, as the grid blocks its weight rows.  They apply one tie rule,
+  the C scan of :func:`_spacing_scan`, and one reduction,
   :func:`_exact_sums`, which returns the exactly rounded sum of the w_j s_j,
   the value ``math.fsum(w * s)`` gives; a single sample is a batch of one
   row, so the two agree bit for bit.
@@ -75,7 +77,6 @@ import platform
 import subprocess
 import tempfile
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -93,7 +94,7 @@ from .core import (
 
 _BRUTE_FORCE_MAX_N = 20
 _TOPQ_MAX_N = 2000
-_BLOCK_BUDGET = 2**16  # float64 elements per array in one row block of the kernel
+_BLOCK_BUDGET = 2**16  # float64 elements per row block of the batch and of the grid
 _CUT_TARGET = 2.0**-66  # absolute bound on the dropped weight tail (module docstring)
 _EXPONENT_HEADROOM = 1000  # binary orders a product may drift between renormalisations
 _LEVELS = 3  # error-free extraction levels of the reduction (module docstring)
@@ -206,39 +207,10 @@ class OverlapPmf:
 def overlap_pmf(n: int, m: int) -> OverlapPmf:
     if not 1 <= m <= n:
         raise BlockSizeOutOfRange(f"need 1 <= m <= n, got m={m}, n={n}")
-    lo = max(0, 2 * m - n)
-    # anchor near the mode (where the mass sits) with an exact integer
-    # binomial ratio; lgamma alone has ~1e-12 absolute error at n ~ 2000,
-    # which would shift the entire pmf
-    anchor_l = min(max((m * m) // n, lo), m)
-    anchor = float(
-        Fraction(
-            math.comb(m, anchor_l) * math.comb(n - m, m - anchor_l),
-            math.comb(n, m),
-        )
-    )
-    # log-ratio recursion p_{l+1}/p_l = (m-l)^2 / ((l+1)(n-2m+l+1))
-    sup = np.arange(lo, m + 1)
-    steps = np.zeros(0)
-    if sup.size > 1:
-        l = sup[:-1].astype(float)
-        steps = 2.0 * np.log(m - l) - np.log(l + 1.0) - np.log(n - 2 * m + l + 1.0)
-    rel = np.zeros(sup.size)
-    idx = anchor_l - lo
-    rel[idx + 1 :] = np.cumsum(steps[idx:])
-    if idx > 0:
-        rel[:idx] = -np.cumsum(steps[:idx][::-1])[::-1]
-    p = np.zeros(m + 1)
-    p[lo:] = anchor * np.exp(rel)
-    return OverlapPmf(n=n, m=m, p=p)
-
-
-def _log_binom(n, k):
-    from scipy.special import gammaln
-
-    n = np.asarray(n, dtype=float)
-    k = np.asarray(k, dtype=float)
-    return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+    # int / int rounds the exact ratio once; C(n-m, m-l) is 0 below l = 2m - n
+    total = math.comb(n, m)
+    p = [math.comb(m, l) * math.comb(n - m, m - l) / total for l in range(m + 1)]
+    return OverlapPmf(n=n, m=m, p=np.array(p))
 
 
 def brute_force_ustat(sample: SortedSample, m: int, kernel: TopQKernel) -> float:
@@ -272,18 +244,12 @@ def topq_weighted_ustat(sample: SortedSample, m: int, kernel: TopQKernel) -> flo
     if not q <= m <= n:
         raise BlockSizeOutOfRange(f"need q={q} <= m <= n, got m={m}, n={n}")
     v = sample.values
-    log_cnm = _log_binom(n, m)
+    total = math.comb(n, m)
     # i_q can be at most n - (m - q): the subset needs m-q elements below it
-    log_tail = np.full(n + 1, -np.inf)
-    iq_max = n - (m - q)
-    iq = np.arange(q, iq_max + 1)
-    log_tail[iq] = _log_binom(n - iq, m - q) - log_cnm
-    terms = []
-    for ranks in combinations(range(1, iq_max + 1), q):
-        w = log_tail[ranks[-1]]
-        if w == -np.inf:
-            continue
-        terms.append(math.exp(w) * kernel.eval(v[np.array(ranks) - 1]))
+    terms = [
+        math.comb(n - ranks[-1], m - q) / total * kernel.eval(v[np.array(ranks) - 1])
+        for ranks in combinations(range(1, n - (m - q) + 1), q)
+    ]
     return math.fsum(terms)
 
 
@@ -335,8 +301,8 @@ def _spacing_sums(v: np.ndarray, j_hi: int) -> np.ndarray:
     the product of the j-1 spacings kept in range by exact powers of two.
 
     * ``spacing_products`` (``_spacing.c``, built on first use by
-      :func:`_spacing_kernel`) fills blocks of ``_BLOCK_BUDGET // j_hi`` rows
-      of the output with p in [1, 2) and a block-sized int64 scratch with E.
+      :func:`_spacing_kernel`) fills the output with p in [1, 2) and an int64
+      array of the same shape with E, in one call over every row given.
       A row's spacings lie in [2^(lo-1), 2^hi), lo and hi the binary
       exponents of its smallest adjacent spacing and of v[0] - v[j_hi-1]
       (the scan of :func:`_spacing_scan`); r is the largest count for which
@@ -356,31 +322,25 @@ def _spacing_sums(v: np.ndarray, j_hi: int) -> np.ndarray:
     multiplication each, and no product overflows or becomes subnormal.
     Rescaling by a power of two is exact and rounding a product of normal
     numbers depends only on their significands, so s_j does not depend on
-    the tile, r', the split, the block or j_hi.  E ln 2 is E _LN2_HI (exact
-    for |E| < 2^33) plus E _LN2_LO.  A product of k rounded factors carries
-    relative error at most gamma_k = ku/(1 - ku), u = 2^-53 (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1), so
-    |s_j - sum of exact logs| <= (j-2)u + |s_j|u + 2u.  Rows must strictly
-    decrease up to j_hi with finite spacings (:func:`_spacing_scan`).
+    the tile, r', the split, the other rows or j_hi.  E ln 2 is E _LN2_HI
+    (exact for |E| < 2^33) plus E _LN2_LO.  A product of k rounded factors
+    carries relative error at most gamma_k = ku/(1 - ku), u = 2^-53
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1),
+    so |s_j - sum of exact logs| <= (j-2)u + |s_j|u + 2u.  Rows must
+    strictly decrease up to j_hi with finite spacings (:func:`_spacing_scan`).
+    The batch passes blocks of ``_BLOCK_BUDGET // j_hi`` rows, the grid one.
     """
     v = _head(v, j_hi)
-    kernel = _spacing_kernel().spacing_products
-    out = np.empty((v.shape[0], j_hi - 1))
-    step = max(1, _BLOCK_BUDGET // j_hi)
-    e = np.empty((min(step, v.shape[0]), j_hi - 1), dtype=np.int64)
-    scratch = np.empty(e.shape)
-    for r0 in range(0, v.shape[0], step):
-        head = v[r0 : r0 + step]
-        if head.strides[1] != head.itemsize:  # a reversed or strided view
-            head = np.ascontiguousarray(head)
-        rows = head.shape[0]
-        p, eb, f = out[r0 : r0 + rows], e[:rows], scratch[:rows]
-        kernel(head.ctypes.data, rows, head.strides[0] // head.itemsize, j_hi,
-               _EXPONENT_HEADROOM, p.ctypes.data, eb.ctypes.data)
-        np.log(p, out=p)
-        p += np.multiply(eb, _LN2_LO, out=f)
-        p += np.multiply(eb, _LN2_HI, out=f)
-    return out
+    if v.strides[1] != v.itemsize:  # a reversed or strided view
+        v = np.ascontiguousarray(v)
+    p = np.empty((v.shape[0], j_hi - 1))
+    e = np.empty(p.shape, dtype=np.int64)
+    _spacing_kernel().spacing_products(v.ctypes.data, v.shape[0], v.strides[0] // v.itemsize,
+                                       j_hi, _EXPONENT_HEADROOM, p.ctypes.data, e.ctypes.data)
+    np.log(p, out=p)
+    p += e * _LN2_LO
+    p += e * _LN2_HI
+    return p
 
 
 @functools.cache
@@ -478,9 +438,7 @@ def log_spacing_sums(values: np.ndarray, j_hi: int) -> np.ndarray:
     anywhere in range raises DegenerateSpacing.  Computed by :func:`_spacing_sums`.
     """
     v = np.asarray(values, dtype=float)
-    if not 2 <= j_hi <= v.size:
-        raise BlockSizeOutOfRange(f"need 2 <= j_hi <= n, got {j_hi}")
-    _require_decreasing(v, j_hi)
+    _require_decreasing(v, j_hi)  # BlockSizeOutOfRange unless 2 <= j_hi <= n
     return _spacing_sums(v[None], j_hi)[0]
 
 
@@ -488,12 +446,13 @@ def pickands_ustat(sample: SortedSample, m: int) -> float:
     """Extreme U-Pickands estimate of the extreme value index at block size m.
 
     The exactly rounded U = sum_j w_j s_j, a batch of one row
-    (:func:`pickands_ustat_batch`); a tie raises DegenerateSpacing.
+    (:func:`pickands_ustat_batch`); a tie raises DegenerateSpacing, found
+    by a second scan only when the batch returns NaN.
     """
-    if not 3 <= m <= sample.n:
-        raise BlockSizeOutOfRange(f"need 3 <= m <= n, got m={m}, n={sample.n}")
-    _require_decreasing(sample.values, sample.n - m + 3)
-    return float(pickands_ustat_batch(sample.values[None], m)[0])
+    u = float(pickands_ustat_batch(sample.values[None], m)[0])
+    if math.isnan(u):
+        _require_decreasing(sample.values, sample.n - m + 3)
+    return u
 
 
 def pickands_ustat_grid(sample: SortedSample, m_grid: Sequence[int]) -> Dict[int, float]:
@@ -533,10 +492,11 @@ def pickands_ustat_batch(values: np.ndarray, m: int) -> np.ndarray:
     (module docstring).  Rows with a tie within the touched index range yield
     NaN instead of raising, so large Monte Carlo sweeps can count failures.
 
-    The kept terms are reduced block by block: each block of about
-    ``_BLOCK_BUDGET // (K + 1)`` rows gets its s_j (:func:`_spacing_sums`),
-    is multiplied by w_j and summed (:func:`_exact_sums`) while it is still
-    in cache, so the rows x K term matrix is never built in full.  Every row's
+    The tie-free rows are reduced block by block: each block of about
+    ``_BLOCK_BUDGET // (K + 1)`` rows copies only its first K + 1 values,
+    gets its s_j (:func:`_spacing_sums`), is multiplied by w_j and summed
+    (:func:`_exact_sums`) while it is still in cache, so neither the rows x K
+    term matrix nor a full-length copy of the rows is built.  Every row's
     terms and sum are independent of the block, so the bits do not change.
     Rows the certificate does not prove are summed again at full length.
     """
@@ -548,30 +508,28 @@ def pickands_ustat_batch(values: np.ndarray, m: int) -> np.ndarray:
         raise BlockSizeOutOfRange(f"need 3 <= m <= n, got m={m}, n={n}")
     j_hi = n - m + 3
     prefix, small, large = _spacing_scan(v, j_hi)
-    ok = prefix == j_hi
+    rows = np.flatnonzero(prefix == j_hi)
     out = np.full(nrep, np.nan)
-    if not ok.any():
+    if not rows.size:
         return out
-    if not ok.all():
-        v, small, large = v[ok], small[ok], large[ok]
     w = pickands_weights(n, m).w
     # tail[k] * L bounds the terms from index k on, rounding included
     tail = 2.0 * np.cumsum((np.abs(w) * np.arange(1, w.size + 1))[::-1])[::-1]
-    bound = np.abs(np.log([small, large])).max(axis=0)  # L per row
+    bound = np.abs(np.log([small[rows], large[rows]])).max(axis=0)  # L per row
     k = int(np.count_nonzero(tail >= _CUT_TARGET / bound.max()))
     cut = bound * (tail[k] if k < w.size else 0.0)
-    est, proven = np.empty(bound.size), np.empty(bound.size, dtype=bool)
+    proven = np.empty(rows.size, dtype=bool)
     step = max(1, _BLOCK_BUDGET // (k + 1))
-    for r0 in range(0, bound.size, step):
-        kept = _spacing_sums(v[r0 : r0 + step], k + 1)
+    for b in range(0, rows.size, step):
+        block = rows[b : b + step]
+        kept = _spacing_sums(v[block, : k + 1], k + 1)
         kept *= w[:k]
-        est[r0 : r0 + step], proven[r0 : r0 + step] = _exact_sums(kept, cut[r0 : r0 + step])
+        out[block], proven[b : b + step] = _exact_sums(kept, cut[b : b + step])
     if k < w.size and not proven.all():
-        redo = np.flatnonzero(~proven)
+        redo = rows[~proven]
         full = _spacing_sums(v[redo], j_hi)
         full *= w
-        est[redo] = _exact_sums(full, 0.0)[0]
-    out[ok] = est
+        out[redo] = _exact_sums(full, 0.0)[0]
     return out
 
 

@@ -188,6 +188,13 @@ class TestBiasConstant:
         with pytest.raises(ArgumentOutOfRange):
             bias_bk_mc(gamma, rho, 20_000, _stream())
 
+    def test_overflowing_draws_raise_before_any_warning(self):
+        # h_gamma(80, y) overflows on the largest draws; that once gave b_k = nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ArgumentOutOfRange, match="gamma=80.0"):
+                bias_bk_mc(80.0, -1.0, 10_000, dist.RngStream(0))
+
 
 class TestSigma2Routes:
     def test_kvar_smoke(self):
@@ -211,6 +218,18 @@ class TestSigma2Routes:
             sigma2_integral_mc(0.0, inner_reps=100, rng=_stream())
         with pytest.raises(ArgumentOutOfRange):
             sigma2_kvar_mc(0.0, 100, 5, 10, _stream())
+
+    def test_integral_overflowing_draws_raise_before_any_warning(self):
+        # h_gamma(150, y) overflows on the largest draws; that once gave sigma2 = nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ArgumentOutOfRange, match="gamma=150.0"):
+                sigma2_integral_mc(150.0, inner_reps=10_000, quad_nodes=8, rng=dist.RngStream(0))
+
+    @pytest.mark.parametrize("sigma2,stderr", [(math.nan, 0.1), (1.0, math.nan), (-1.0, 0.1)])
+    def test_variance_estimate_rejects_nan_and_negative(self, sigma2, stderr):
+        with pytest.raises(ArgumentOutOfRange):
+            asymptotics.VarianceEstimate(sigma2=sigma2, reps=100, stderr=stderr)
 
 
 def _old_h_gamma(gamma, y):
@@ -279,6 +298,20 @@ class TestGpResample:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * 200 * 2000 * 8
+
+    def test_failed_rows_do_not_copy_the_survivors(self):
+        # at gamma = 60 three of the 200 samples overflow; a full-length copy of
+        # the other 197 rows would peak at 2.67 times the matrix
+        args = (60.0, 2000, 20, 200)
+        est = _gp_resample_estimates(*args, dist.RngStream(1, 0))
+        assert np.isnan(est).sum() == 3
+        tracemalloc.start()
+        try:
+            _gp_resample_estimates(*args, dist.RngStream(1, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * 200 * 2000 * 8
 
 
 class TestBootstrap:

@@ -358,6 +358,12 @@ class TestBiasCmd:
         )
         assert code == 1
 
+    def test_overflowing_gamma_is_data_error(self, capsys):
+        # h_gamma overflows on the largest Pareto draws at gamma = 1000
+        code, out, err = run_cli(capsys, "bias", "--gamma", "1000", "--rhos=-1", "--reps", "10000")
+        assert (code, out) == (2, "")
+        assert err == "error: ArgumentOutOfRange: h_gamma overflows on a draw at gamma=1000.0\n"
+
 
 class TestBootstrapCmd:
     def test_smoke(self, capsys, gp_sample_file):

@@ -6,6 +6,7 @@ import sys
 import sysconfig
 import tempfile
 import warnings
+from fractions import Fraction
 from typing import Tuple
 
 import numpy as np
@@ -204,6 +205,14 @@ class TestOverlapPmf:
         pmf = overlap_pmf(n, m)
         assert float(pmf.p.sum()) == pytest.approx(1.0, abs=1e-12)
         assert pmf.mean() == pytest.approx(m * m / n, rel=1e-10)
+
+
+@pytest.mark.parametrize("n,m", [(10, 4), (100, 10), (500, 100), (2000, 100), (2000, 3)])
+def test_overlap_pmf_is_the_rounded_integer_ratio(n, m):
+    # Fraction -> float rounds once, as int / int does
+    total = math.comb(n, m)
+    want = [float(Fraction(math.comb(m, l) * math.comb(n - m, m - l), total)) for l in range(m + 1)]
+    assert overlap_pmf(n, m).p.tolist() == want
 
 
 class TestBruteForce:
@@ -461,7 +470,7 @@ class TestWeightCutoff:
         assert ratio[0] > 0.0 and np.allclose(ratio, ratio[0], rtol=1e-12, atol=0.0)
 
     def test_row_blocks_match_single_rows(self):
-        # 700 columns make blocks of 93 rows, so 200 rows take three blocks
+        # 200 rows in one call give the same bits as each row on its own
         rng = np.random.default_rng(23)
         mat = np.sort(rng.standard_cauchy((200, 700)), axis=1)[:, ::-1]
         block = _spacing_sums(mat, 700)
