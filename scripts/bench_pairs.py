@@ -25,8 +25,12 @@ fraction), and the gap between the medians exceeds the parent's
 interquartile range.  Every workload also gets a no-regression verdict per
 end-to-end metric (:func:`bound_verdict`): "within bound", "worse beyond
 bound" or "unresolved", with the margin left to the metric's ``bound`` in
-BENCHMARK.json.  The file is rewritten after every run, so an interrupted
-run keeps what it measured.
+BENCHMARK.json.  Per workload, ``rss_against_attempted`` is the
+least-squares line of ``peak_rss_mb`` against ``attempted`` over every pair
+and holdout run of both sides (:func:`rss_slope`): a workload whose runs
+keep per-operation data shows a positive slope, so a faster program also
+reads as a larger one.  The file is rewritten after every run, so an
+interrupted run keeps what it measured.
 """
 
 from __future__ import annotations
@@ -186,6 +190,25 @@ def bound_verdict(entry: dict, metric: str, direction: str, bound: float) -> dic
     }
 
 
+def rss_slope(runs: List[dict]) -> dict:
+    """The least-squares line of ``peak_rss_mb`` (MiB) against ``attempted``
+    (operations) over the runs that report both: its slope in MiB per
+    operation, its intercept and the correlation.  Slope and intercept are
+    None with fewer than two distinct ``attempted`` counts, the correlation
+    also when ``peak_rss_mb`` does not vary."""
+    points = [(r["result"]["attempted"], value(r, "peak_rss_mb")) for r in runs
+              if "attempted" in r["result"] and value(r, "peak_rss_mb") is not None]
+    out = {"runs": len(points), "slope_mib_per_op": None, "intercept_mib": None, "correlation": None}
+    if len({ops for ops, _ in points}) < 2:
+        return out
+    ops, rss = zip(*points)
+    slope, intercept = statistics.linear_regression(ops, rss)
+    out.update(slope_mib_per_op=round(slope, 6), intercept_mib=round(intercept, 4))
+    if len(set(rss)) > 1:
+        out["correlation"] = round(statistics.correlation(ops, rss), 4)
+    return out
+
+
 def machine() -> dict:
     try:
         import numpy
@@ -272,6 +295,8 @@ def main() -> int:
                                          pair[side]["result"].get("metrics", {}).items()}}
                     for side in SIDES
                 }
+            if kind != "traced":
+                entry["rss_against_attempted"] = rss_slope([p[side] for p in pairs + holdouts for side in SIDES])
             save()
         for text in args.claim:
             claim_workload, metric, gain = text.split(":")

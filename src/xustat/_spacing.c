@@ -1,13 +1,15 @@
 /* The loops of xustat that are not transcendental functions: the tie scan
  * and the products of spacings behind the Pickands log-spacing sums, the
  * passes of the Pickands weights, the extraction of the exact reduction, and
- * the GP profile scan.  Every log, log1p and exp stays with the caller
- * (xustat.ustat, xustat.estimators), in numpy, except the pruning bound of
- * profile_prune.  Build without -ffast-math and with -ffp-contract=off:
- * every other operation here is then one correctly rounded addition,
- * subtraction, multiplication or division, an IEEE comparison, or an exact
- * power-of-two rescaling, each taken in the order written, so the results
- * have numpy's bits. */
+ * the GP profile scan and score.  Every log, log1p and exp stays with the
+ * caller (xustat.ustat, xustat.estimators), in numpy, except the pruning
+ * bound of profile_prune.  Build without -ffast-math and with
+ * -ffp-contract=off: every other operation here is then one correctly
+ * rounded addition, subtraction, multiplication or division, an IEEE
+ * comparison, or an exact power-of-two rescaling, each taken in the order
+ * written, so the results have numpy's bits.  The score's sums copy the
+ * order of numpy's pairwise summation (pairwise_sum), which np.add.reduce
+ * takes over a contiguous vector. */
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
@@ -267,14 +269,18 @@ void profile_ratio(const double *restrict grid, const int64_t *restrict idx, lon
 
 /* f[j], ln(gamma / theta) on entry, becomes the profile objective at theta
  * = grid[idx[j]], ln(gamma / theta) + gamma, or +inf where gamma / theta is
- * not positive, gamma <= -1, gamma == 0 or the objective is not finite. */
+ * not positive, gamma <= -1, gamma == 0 or the objective is not finite; f
+ * and gamma are also stored at index idx[j] of grid_f and grid_gam. */
 void profile_objective(const double *restrict grid, const int64_t *restrict idx, long c,
-                       const double *restrict gam, double *restrict f)
+                       const double *restrict gam, double *restrict f,
+                       double *restrict grid_f, double *restrict grid_gam)
 {
     for (long j = 0; j < c; j++) {
         const double g = gam[j], v = f[j] + g;
         const int bad = !(g / grid[idx[j]] > 0.0) || g <= -1.0 || g == 0.0 || !isfinite(v);
         f[j] = bad ? INFINITY : v;
+        grid_f[idx[j]] = f[j];
+        grid_gam[idx[j]] = g;
     }
 }
 
@@ -285,33 +291,99 @@ static double np_max(double a, double b)
 }
 
 /* The pruning step of xustat.estimators._profile_scan over the n grid
- * points: gam holds gamma at the evaluated indices and NaN elsewhere, f the
- * objective there and +inf elsewhere, and a[i] <= i <= b[i] the evaluated
- * neighbours of i.  Writes to rest, in increasing order, every unevaluated i
- * whose concavity bound on f is not above min f by margin (1 + |min f|),
- * and returns their number.  The bound takes libm's log: it only prunes,
- * and the margin is far above one rounding. */
+ * points: gam holds gamma at the evaluated indices, among them 0 and n - 1,
+ * and NaN elsewhere, and f the objective there and +inf elsewhere.  Each
+ * unevaluated i lies between its evaluated neighbours a < i < b, the last
+ * before it and the next after it, found in the same sweep.  Writes to
+ * rest, in increasing order, every unevaluated i that is a multiple of
+ * `every` and whose concavity bound on f is not above min f by margin
+ * (1 + |min f|), and returns their number.  The bound takes libm's log: it
+ * only prunes, and the margin is far above one rounding. */
 long profile_prune(const double *restrict grid, const double *restrict f,
-                   const double *restrict gam, long n, const int64_t *restrict a,
-                   const int64_t *restrict b, double margin, int64_t *restrict rest)
+                   const double *restrict gam, long n, double margin, long every,
+                   int64_t *restrict rest)
 {
     double best = INFINITY;
     for (long i = 0; i < n; i++)
         best = f[i] < best ? f[i] : best;
     const double cut = best + margin * (1.0 + fabs(best));
     long count = 0;
-    for (long i = 0; i < n; i++) {
-        if (gam[i] == gam[i])
+    for (long a = 0, b = 1; b < n; b++) {
+        if (gam[b] != gam[b])
             continue;
-        const double ga = gam[a[i]], gb = gam[b[i]], ta = grid[a[i]], tb = grid[b[i]];
-        const double chord = ga + (gb - ga) * (grid[i] - ta) / (tb - ta);
-        const double c = np_max(chord, np_max(ga, -1.0));
-        double lr = log(gb / tb);
-        if (grid[i] > 0.0 && c > 0.0)
-            lr = np_max(lr, log(c / grid[i]));
-        const double bound = gb <= -1.0 ? INFINITY : lr + c;
-        if (!(bound > cut))
-            rest[count++] = i;
+        const double ga = gam[a], gb = gam[b], ta = grid[a], tb = grid[b];
+        for (long i = a + 1; i < b; i++) {
+            if (i % every)
+                continue;
+            const double chord = ga + (gb - ga) * (grid[i] - ta) / (tb - ta);
+            const double c = np_max(chord, np_max(ga, -1.0));
+            double lr = log(gb / tb);
+            if (grid[i] > 0.0 && c > 0.0)
+                lr = np_max(lr, log(c / grid[i]));
+            const double bound = gb <= -1.0 ? INFINITY : lr + c;
+            if (!(bound > cut))
+                rest[count++] = i;
+        }
+        a = b;
     }
     return count;
+}
+
+/* buf[t] = theta * x[t] for t < k: the arguments of log1p in the GP profile
+ * score, with the bits of numpy's theta * x. */
+void profile_scale(const double *restrict x, long k, double theta, double *restrict buf)
+{
+    for (long t = 0; t < k; t++)
+        buf[t] = theta * x[t];
+}
+
+/* Term t of pairwise_sum: a[t], or with `quotient` a[t] / (theta a[t] + 1),
+ * numpy's x / (theta * x + 1.0). */
+static inline double term(const double *a, long t, int quotient, double theta)
+{
+    return quotient ? a[t] / (theta * a[t] + 1.0) : a[t];
+}
+
+/* The sum of the n terms in the order of numpy's pairwise summation (the
+ * DOUBLE_pairwise_sum of its add loop): fewer than 8 terms one by one from
+ * -0.0; up to 128 in 8 accumulators, r[u] taking terms u, u + 8, ..., which
+ * are added as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) before the
+ * last n mod 8 terms one by one; above 128, the sum of the two halves split
+ * at n / 2 rounded down to a multiple of 8. */
+static double pairwise_sum(const double *a, long n, int quotient, double theta)
+{
+    if (n < 8) {
+        double s = -0.0;
+        for (long t = 0; t < n; t++)
+            s += term(a, t, quotient, theta);
+        return s;
+    }
+    if (n <= 128) {
+        double r[8];
+        for (int u = 0; u < 8; u++)
+            r[u] = term(a, u, quotient, theta);
+        long t = 8;
+        for (; t < n - n % 8; t += 8)
+            for (int u = 0; u < 8; u++)
+                r[u] += term(a, t + u, quotient, theta);
+        double s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; t < n; t++)
+            s += term(a, t, quotient, theta);
+        return s;
+    }
+    long half = n / 2;
+    half -= half % 8;
+    return pairwise_sum(a, half, quotient, theta)
+           + pairwise_sum(a + half, n - half, quotient, theta);
+}
+
+/* The two sums of the GP profile score at theta, each as np.add.reduce
+ * gives it (its initial 0.0, then the pairwise sum): sums[0] over
+ * logs[0..k), which holds log1p(theta x[t]), and sums[1] over x[t] / (theta
+ * x[t] + 1). */
+void profile_sums(const double *restrict x, const double *restrict logs, long k, double theta,
+                  double *restrict sums)
+{
+    sums[0] = 0.0 + pairwise_sum(logs, k, 0, theta);
+    sums[1] = 0.0 + pairwise_sum(x, k, 1, theta);
 }

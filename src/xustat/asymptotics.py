@@ -51,7 +51,10 @@ def h_gamma_rho(x, gamma: float, rho: float):
     """Second-order limit function: the double integral of s^(gamma-1) u^(rho-1).
 
     Closed form (h_{gamma+rho}(x) - h_gamma(x)) / rho for rho < 0; the
-    rho -> 0 limit is the gamma-derivative of the h family.
+    rho -> 0 limit is the gamma-derivative of the h family, (x^gamma (gamma
+    ln x - 1) + 1) / gamma^2, evaluated as (x^gamma u) (ln x - u) + u^2 with
+    u = 1/gamma: no intermediate product overflows where the result is
+    finite, and H(1) is 0 exactly.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 1.0):
@@ -65,8 +68,8 @@ def h_gamma_rho(x, gamma: float, rho: float):
         if gamma == 0.0:
             out = 0.5 * lx * lx
         else:
-            xg = np.exp(gamma * lx)
-            out = (gamma * xg * lx - xg + 1.0) / gamma**2
+            u = 1.0 / gamma
+            out = np.exp(gamma * lx) * u * (lx - u) + u * u
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -140,8 +143,8 @@ def bias_bk_mc(gamma: float, rho: float, reps: int, rng: RngStream) -> BiasEstim
     Draws pairs of Pareto(1) variables, evaluates the Pickands kernel
     partials at (h_gamma(Y_{2:2}), h_gamma(Y_{1:2}), 0), weights them with
     H_{gamma,rho} at the Pareto points, and scales by the Erlang moment
-    E[S_3^(-rho)] = Gamma(3 - rho)/Gamma(3).  A draw on which h_gamma
-    overflows raises ArgumentOutOfRange.
+    E[S_3^(-rho)] = Gamma(3 - rho)/Gamma(3).  A draw on which h_gamma or
+    H overflows raises ArgumentOutOfRange.
     """
     if not rho < 0.0:
         raise ArgumentOutOfRange("need rho < 0")
@@ -157,6 +160,8 @@ def bias_bk_mc(gamma: float, rho: float, reps: int, rng: RngStream) -> BiasEstim
     x2 = _h_finite(gamma, y12)
     gp = pickands_g_prime(np.log(x1 - x2) - np.log(x2))
     h22 = h_gamma_rho(y22, gamma, rho)
+    if np.isinf(h22).any():  # H increases in x, so h12 <= h22 is finite too
+        raise ArgumentOutOfRange(f"H overflows on a draw at gamma={gamma!r}, rho={rho!r}")
     h12 = h_gamma_rho(y12, gamma, rho)
     # K1*H22 + K2*H12 rearranged: K2 = -K1 - K3 and the common g' factored out
     w = gp * ((h22 - h12) / (x1 - x2) - h12 / x2)

@@ -24,9 +24,11 @@ from .core import (
 from .ustat import _spacing_kernel
 
 _PROFILE_GRID = 400
-# first-pass stride of the pruned scan, and the relative margin by which a
-# pruned grid value's bound clears the best evaluated one
+# first-pass stride of the pruned scan, the strides of the indices each later
+# pass may evaluate, and the relative margin by which a pruned grid value's
+# bound clears the best evaluated one
 _SCAN_STEP = 16
+_SCAN_STRIDES = (4, 1)
 _SCAN_MARGIN = 1e-9
 _SCAN_BUFFER = 2**14  # doubles of log1p(theta x) that the scan holds at once
 # gamma_hat = -1 + _EDGE_STEP when the fit reports the gamma -> -1 edge
@@ -36,11 +38,8 @@ _GOLDEN_CAP = 200
 
 _HALF = _PROFILE_GRID // 2
 _GRID_I = np.arange(_HALF, dtype=float)  # i of the log10-space step i * step + log10(start)
-# the scan's first-pass indices, and the first-pass neighbours a <= i <= b of every index i
+# the scan's first-pass indices, the grid's two ends among them
 _FIRST = np.append(np.arange(0, _PROFILE_GRID - 1, _SCAN_STEP), _PROFILE_GRID - 1)
-_POS = np.searchsorted(_FIRST, np.arange(_PROFILE_GRID), side="right") - 1
-_A, _B = _FIRST[_POS], _FIRST[np.minimum(_POS + 1, _FIRST.size - 1)]
-_A_PTR, _B_PTR = _A.ctypes.data, _B.ctypes.data
 
 
 @dataclass(frozen=True)
@@ -90,70 +89,89 @@ def _profile_objective(theta: float, x: np.ndarray) -> Tuple[float, float]:
     return math.log(ratio) + gam, gam
 
 
-def _profile_score(theta: float, x: np.ndarray) -> float:
+def _profile_score(theta: float, x: np.ndarray, buf: np.ndarray, xp: int, bp: int) -> float:
     """Derivative of the profile objective.
 
     Value-only minimization can localize the flat optimum only to sqrt(eps);
     the score root pins it to machine precision, which keeps the fit
-    scale-equivariant to ~1e-15.
+    scale-equivariant to ~1e-15.  ``buf`` is the fit's buffer of k doubles
+    and ``xp``, ``bp`` the addresses of x and ``buf``, taken once per fit
+    (:func:`_refine_bracket`): C fills ``buf`` with theta x
+    (``profile_scale``), numpy's ``log1p`` runs in place, and one C pass
+    (``profile_sums``) gives the sums of log1p(theta x) and x / (theta x +
+    1) in the order of numpy's pairwise summation, the bits
+    ``np.add.reduce`` gives; each is divided by k as the numpy score did.
     """
     k = x.size
     if theta == 0.0:
         xbar = float(np.add.reduce(x)) / k
         return xbar - float(np.add.reduce(x * x)) / k / (2.0 * xbar)
-    tx = theta * x
-    gam = float(np.add.reduce(np.log1p(tx))) / k
+    lib, space = _spacing_kernel(), _SPACE
+    lib.profile_scale(xp, k, theta, bp)
+    np.log1p(buf, out=buf)
+    lib.profile_sums(xp, bp, k, theta, space.ptr["sums"])
+    logs, quotients = space.sums.tolist()
+    gam = logs / k
     if gam <= -1.0 or gam == 0.0:
         return math.nan
-    tx += 1.0
-    dgam = float(np.add.reduce(np.divide(x, tx, out=tx))) / k
-    return dgam * (1.0 / gam + 1.0) - 1.0 / theta
+    return quotients / k * (1.0 / gam + 1.0) - 1.0 / theta
 
 
 def _profile_columns(grid, x, idx) -> Tuple[np.ndarray, np.ndarray]:
-    """f(theta) and gamma(theta) at grid[idx], +inf where f is infeasible.
-
-    The k x columns values log1p(theta x) pass through the thread's buffer of
-    ``_SCAN_BUFFER`` doubles (:class:`_ScanSpace`), a block of rows at a
-    time: C fills it with theta x (``profile_fill``), numpy's ``log1p`` runs
-    in place, and C adds each column in row order onto a running sum from 0
-    (``profile_add``), the sum ``np.add.reduce`` gives along axis 0 of a
-    matrix of two or more columns, so a lone column, too, has the bits of a
-    scan of the whole grid.  C divides by k for gamma and by theta for the
-    ratio (``profile_ratio``), numpy takes the log, and C adds gamma and
-    masks the infeasible values (``profile_objective``).  The two
-    transcendental functions, ``log1p`` and ``log``, stay numpy's.
-    """
-    lib, space = _spacing_kernel(), _SPACE
+    """f(theta) and gamma(theta) at grid[idx], +inf where f is infeasible:
+    one pass of the scan (:func:`_scan_pass`) on any grid, excesses and
+    indices."""
     grid = np.ascontiguousarray(grid, dtype=float)
     x, idx = np.ascontiguousarray(x, dtype=float), np.asarray(idx, dtype=np.int64)
-    k, c = x.size, idx.size
-    xp, gp, ip = x.ctypes.data, grid.ctypes.data, idx.ctypes.data
+    _scan_pass(_spacing_kernel(), x.ctypes.data, x.size, grid.ctypes.data, idx.ctypes.data, idx.size)
+    return _SPACE.f[: idx.size].copy(), _SPACE.gam[: idx.size].copy()
+
+
+def _scan_pass(lib, xp: int, k: int, gp: int, ip: int, c: int) -> None:
+    """Evaluate f(theta) and gamma(theta) at the c grid points idx[0..c), for
+    the k excesses at address xp, the grid at gp and the int64 indices at ip:
+    in the thread's :class:`_ScanSpace` they land in ``f`` and ``gam``, and
+    at their indices in ``grid_f`` and ``grid_gam``.
+
+    The k x c values log1p(theta x) pass through the thread's buffer of
+    ``_SCAN_BUFFER`` doubles, a block of rows at a time: C fills it with
+    theta x (``profile_fill``), numpy's ``log1p`` runs in place, and C adds
+    each column in row order onto a running sum from 0 (``profile_add``), the
+    sum ``np.add.reduce`` gives along axis 0 of a matrix of two or more
+    columns, so a lone column, too, has the bits of a scan of the whole grid.
+    C divides by k for gamma and by theta for the ratio (``profile_ratio``),
+    numpy takes the log, and C adds gamma, masks the infeasible values and
+    stores both at their grid indices (``profile_objective``).  The two
+    transcendental functions, ``log1p`` and ``log``, stay numpy's.
+    """
+    space = _SPACE
     bp, sp, fp = space.ptr["buf"], space.ptr["gam"], space.ptr["f"]
     rows = _SCAN_BUFFER // c
     for r0 in range(0, k, rows):
         n = min(rows, k - r0)
-        lib.profile_fill(xp + r0 * x.itemsize, n, gp, ip, c, bp)
+        lib.profile_fill(xp + 8 * r0, n, gp, ip, c, bp)  # 8 bytes per float64 excess
         t = space.buf[: n * c]
         np.log1p(t, out=t)
         lib.profile_add(bp, n, c, r0 == 0, sp)
     lib.profile_ratio(gp, ip, c, k, sp, fp)
     f = space.f[:c]
     np.log(f, out=f)
-    lib.profile_objective(gp, ip, c, sp, fp)
-    return f.copy(), space.gam[:c].copy()
+    lib.profile_objective(gp, ip, c, sp, fp, space.ptr["grid_f"], space.ptr["grid_gam"])
 
 
 class _ScanSpace(threading.local):
-    """One thread's arrays for the profile scan, allocated once, and their
-    addresses for the C calls, which would otherwise cost more than the
-    calls: the block buffer, one pass's column sums (then gamma) and ratios
-    (then f), and f, gamma and the points left over the whole grid."""
+    """One thread's arrays for the profile scan and score, allocated once,
+    and their addresses for the C calls, which would otherwise cost more
+    than the calls: the block buffer, one pass's column sums (then gamma)
+    and ratios (then f), f and gamma over the whole grid, the first pass's
+    indices and each later pass's, and the score's two sums."""
 
     def __init__(self):
         self.buf = np.empty(_SCAN_BUFFER)
         self.gam, self.f, self.grid_f, self.grid_gam = (np.empty(_PROFILE_GRID) for _ in range(4))
+        self.first = _FIRST
         self.rest = np.empty(_PROFILE_GRID, dtype=np.int64)
+        self.sums = np.empty(2)
         self.ptr = {name: a.ctypes.data for name, a in vars(self).items()}
 
 
@@ -186,14 +204,17 @@ def _profile_scan(x: np.ndarray, xmax: float, xbar: float) -> Tuple[np.ndarray, 
     feasible theta strictly between evaluated indices a < b, gamma(theta) >=
     c(theta) = max(chord from a to b, gamma(a), -1) and f(theta) >= max(ln
     r(b), ln(c/theta) where theta, c > 0) + c; every theta < b is infeasible
-    when gamma(b) <= -1.  The second pass evaluates each point whose bound is
-    not above the best by the margin, so every pruned value exceeds the grid
-    minimum and argmin, ties included, is the full scan's.  The grid is
-    :func:`_theta_grid`'s; the first-pass indices and each index's
-    neighbours a, b among them are module constants.  Both passes work
-    through the thread's buffer of ``_SCAN_BUFFER`` doubles
-    (:func:`_profile_columns`), and one C call (``profile_prune``) computes
-    every bound and lists the points left.
+    when gamma(b) <= -1.  Each later pass evaluates the points, at the
+    indices that are multiples of its stride in ``_SCAN_STRIDES`` (every
+    4th, then all), whose bound is not above the best so far by the margin,
+    a and b being the nearest evaluated indices on either side: the second
+    pass's points tighten the chords and the best for the third.  Every
+    pruned value thus exceeds the grid minimum, and argmin, ties included,
+    is the full scan's.  The grid is :func:`_theta_grid`'s.  The addresses
+    of x (contiguous) and the grid are taken once; each pass works through
+    the thread's buffer of ``_SCAN_BUFFER`` doubles (:func:`_scan_pass`),
+    and one C call (``profile_prune``) finds each point's neighbours,
+    computes every bound and lists the points left.
     The bound takes libm's ``log``, which may differ from numpy's by an ulp:
     it only prunes, and the margin is far above that.  Excesses so small
     that twice a grid end overflows (max(x) below about 1.1e-301: the end
@@ -206,19 +227,17 @@ def _profile_scan(x: np.ndarray, xmax: float, xbar: float) -> Tuple[np.ndarray, 
             f"excesses too small for the theta grid: max(x) = {xmax!r}"
         )
     grid = _theta_grid(*ends)
-    space = _SPACE
-    f, gams = space.grid_f, space.grid_gam
-    f.fill(np.inf)
-    gams.fill(np.nan)
-    f[_FIRST], gams[_FIRST] = _profile_columns(grid, x, _FIRST)
-    count = _spacing_kernel().profile_prune(
-        grid.ctypes.data, space.ptr["grid_f"], space.ptr["grid_gam"], grid.size, _A_PTR, _B_PTR,
-        _SCAN_MARGIN, space.ptr["rest"],
-    )
-    if count:
-        rest = space.rest[:count]
-        f[rest] = _profile_columns(grid, x, rest)[0]
-    return grid, f.copy()
+    lib, space = _spacing_kernel(), _SPACE
+    ptr, xp, gp, k = space.ptr, x.ctypes.data, grid.ctypes.data, x.size
+    space.grid_f.fill(np.inf)
+    space.grid_gam.fill(np.nan)
+    _scan_pass(lib, xp, k, gp, ptr["first"], _FIRST.size)
+    for every in _SCAN_STRIDES:
+        count = lib.profile_prune(gp, ptr["grid_f"], ptr["grid_gam"], grid.size, _SCAN_MARGIN,
+                                  every, ptr["rest"])
+        if count:
+            _scan_pass(lib, xp, k, gp, ptr["rest"], count)
+    return grid, space.grid_f.copy()
 
 
 def gp_ml_fit(excesses: Sequence[float]) -> GpMlFit:
@@ -237,17 +256,21 @@ def gp_ml_fit(excesses: Sequence[float]) -> GpMlFit:
     supremum is not attained.  Otherwise ``converged=False`` means that the
     bracket refinement did not converge or that no grid point was feasible.
 
-    Apart from the k x columns ``log1p`` work, a fit makes a few dozen
-    calls: the scan's passes are C loops around numpy's ``log1p`` and
-    ``log`` (:func:`_profile_columns`, :func:`_profile_scan`), every mean is
-    ``np.add.reduce`` divided by k, the bits ``np.mean`` gives, the theta grid
-    is built in one expression, and one min/max pair validates the input.
+    Apart from the k x columns ``log1p`` work (about 47 columns per fit, 26
+    of them the first pass's, on the trajectory samples of n = 10^4), a fit
+    makes a few dozen calls: the scan's three passes are C loops around
+    numpy's ``log1p`` and ``log`` (:func:`_scan_pass`, :func:`_profile_scan`),
+    each score is a C fill, one in-place ``log1p`` and one C pass of pairwise
+    sums in a buffer made once per fit (:func:`_profile_score`), every other
+    mean is ``np.add.reduce`` divided by k, the bits ``np.mean`` gives, the
+    theta grid is built in one expression, and one min/max pair validates
+    the input.
     The result is the same, field for field, as with ``np.mean``,
     ``np.geomspace`` and the numpy scan (``tests/test_estimators.py`` keeps
     those paths as its oracles), and its fields are Python floats, a bool and
     an int on every path.
     """
-    x = np.asarray(excesses, dtype=float)
+    x = np.ascontiguousarray(excesses, dtype=float)
     k = x.size
     if k < 5:
         raise TooFewObservations(f"need at least 5 excesses, got {k}")
@@ -286,10 +309,13 @@ def _refine_bracket(a: float, b: float, x: np.ndarray) -> Tuple[float, bool, int
 
     The score changes sign across an interior maximum; if it does not
     (optimum pinned at a grid edge, or score undefined) fall back to a
-    value-only golden section.
+    value-only golden section.  Every score of the fit shares one buffer of
+    k doubles, passed with its address and x's in ``brentq``'s ``args``.
     """
-    sa = _profile_score(a, x)
-    sb = _profile_score(b, x)
+    buf = np.empty(x.size)
+    args = (x, buf, x.ctypes.data, buf.ctypes.data)
+    sa = _profile_score(a, *args)
+    sb = _profile_score(b, *args)
     if math.isfinite(sa) and math.isfinite(sb) and sa * sb < 0.0:
         from scipy.optimize import brentq
 
@@ -297,7 +323,7 @@ def _refine_bracket(a: float, b: float, x: np.ndarray) -> Tuple[float, bool, int
             _profile_score,
             a,
             b,
-            args=(x,),
+            args=args,
             xtol=_GOLDEN_TOL * (1.0 + min(abs(a), abs(b))),
             maxiter=_GOLDEN_CAP,
             full_output=True,

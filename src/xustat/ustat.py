@@ -122,8 +122,10 @@ _SIGNATURES = {
     "profile_fill": "vplpplp",
     "profile_add": "vplllp",
     "profile_ratio": "vppllpp",
-    "profile_objective": "vpplpp",
-    "profile_prune": "lppplppdp",
+    "profile_objective": "vpplpppp",
+    "profile_prune": "lpppldlp",
+    "profile_scale": "vpldp",
+    "profile_sums": "vppldp",
 }
 _CTYPES = {"v": None, "p": ctypes.c_void_p, "l": ctypes.c_long, "d": ctypes.c_double}
 
@@ -347,7 +349,7 @@ def _spacing_sums(v: np.ndarray, j_hi: int) -> np.ndarray:
 def _spacing_kernel():
     """The library of ``_spacing.c`` (the functions of ``_SIGNATURES``: the
     spacing kernel, the weight and reduction passes of the Pickands paths and
-    the GP profile scan), compiled unless already cached.
+    the GP profile scan and score), compiled unless already cached.
 
     The library lives in ``_KERNEL_CACHE`` (the package's ``__pycache__``)
     under the name :func:`_build_command` gives.  The compiler writes a

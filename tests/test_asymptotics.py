@@ -58,6 +58,15 @@ class TestHGammaRho:
             oracle = _h_quadrature(3.0, gamma, 0.0)
             assert h_gamma_rho(3.0, gamma, 0.0) == pytest.approx(oracle, rel=1e-8)
 
+    def test_rho_zero_limit_near_overflow_vs_mpmath(self):
+        # gamma x^gamma ln x overflows at these points; H itself is finite
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        for gamma, x in ((55.0, 3.0e5), (72.0, 1.8e4), (30.0, 1.0e10)):
+            X, G = mpmath.mpf(x), mpmath.mpf(gamma)
+            want = float((X**G * (G * mpmath.log(X) - 1) + 1) / G**2)
+            assert h_gamma_rho(x, gamma, 0.0) == pytest.approx(want, rel=1e-13)
+
     def test_small_rho_continuity(self):
         a = h_gamma_rho(4.0, 0.3, -1e-9)
         b = h_gamma_rho(4.0, 0.3, 0.0)
@@ -195,6 +204,23 @@ class TestBiasConstant:
             with pytest.raises(ArgumentOutOfRange, match="gamma=80.0"):
                 bias_bk_mc(80.0, -1.0, 10_000, dist.RngStream(0))
 
+
+    @pytest.mark.parametrize("gamma,seed", [(55.0, 2), (72.0, 0)])
+    def test_rho_zero_limit_stays_finite_at_large_gamma(self, gamma, seed):
+        # the rho -> 0 branch of H once formed gamma x^gamma ln x, which
+        # overflowed on draws where H is finite: b_k = inf, stderr = nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            limit = bias_bk_mc(gamma, -1e-9, 10_000, dist.RngStream(seed))
+            closed = bias_bk_mc(gamma, -2e-8, 10_000, dist.RngStream(seed))
+        assert math.isfinite(limit.b_k) and math.isfinite(limit.stderr)
+        # the same draws through the closed form just below the branch's range
+        assert limit.b_k == pytest.approx(closed.b_k, rel=1e-6)
+
+    def test_overflowing_h_raises(self, monkeypatch):
+        monkeypatch.setattr(asymptotics, "h_gamma_rho", lambda x, gamma, rho: np.full(np.shape(x), np.inf))
+        with pytest.raises(ArgumentOutOfRange, match="H overflows"):
+            bias_bk_mc(0.5, -1.0, 10_000, dist.RngStream(0))
 
 class TestSigma2Routes:
     def test_kvar_smoke(self):

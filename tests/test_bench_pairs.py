@@ -57,3 +57,25 @@ class TestBoundVerdict:
     def test_missing_metric_is_unresolved(self):
         entry = {"parent": {"x": _side([1.0, 1.0])}, "change": {}}
         assert bench_pairs.bound_verdict(entry, "x", "higher", 0.1)["verdict"] == "unresolved"
+
+
+def _run(attempted, rss):
+    return {"result": {"attempted": attempted, "metrics": {"peak_rss_mb": {"value": rss}}}, "exit": 0}
+
+
+class TestRssSlope:
+    def test_slope_of_memory_against_operations(self):
+        # 100 MiB plus 0.1 MiB per operation, as a workload that keeps its samples
+        runs = [_run(ops, 100.0 + 0.1 * ops) for ops in (600, 650, 700, 800)]
+        out = bench_pairs.rss_slope(runs)
+        assert out["runs"] == 4 and out["correlation"] == pytest.approx(1.0)
+        assert out["slope_mib_per_op"] == pytest.approx(0.1) and out["intercept_mib"] == pytest.approx(100.0)
+
+    def test_flat_memory_has_zero_slope_and_no_correlation(self):
+        out = bench_pairs.rss_slope([_run(ops, 86.5) for ops in (400, 450, 500)])
+        assert out["slope_mib_per_op"] == 0.0 and out["correlation"] is None
+
+    def test_too_few_distinct_counts_give_no_line(self):
+        runs = [_run(500, 90.0), _run(500, 91.0), {"result": {}, "exit": 1}]
+        out = bench_pairs.rss_slope(runs)
+        assert out["runs"] == 2 and out["slope_mib_per_op"] is None

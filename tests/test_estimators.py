@@ -18,19 +18,18 @@ from xustat.core import (
 from xustat import estimators
 from xustat.estimators import (
     GpMlFit,
-    _A,
-    _B,
     _FIRST,
     _SCAN_BUFFER,
     _profile_columns,
     _profile_scan,
+    _profile_score,
     _theta_grid,
     excesses_over_threshold,
     gp_ml_fit,
     paired_k,
 )
 from xustat.harness import _pickands_and_gpml
-from xustat.ustat import pickands_ustat, pickands_ustat_grid
+from xustat.ustat import _spacing_kernel, pickands_ustat, pickands_ustat_grid
 
 
 def _midpoint_grid(gamma, k):
@@ -144,7 +143,8 @@ class TestGpMlFit:
         # the golden section refines a bracket of grid values, brentq a score root
         scores = []
         score = estimators._profile_score
-        monkeypatch.setattr(estimators, "_profile_score", lambda t, x: scores.append(t) or score(t, x))
+        monkeypatch.setattr(estimators, "_profile_score",
+                            lambda t, *args: scores.append(t) or score(t, *args))
         if golden:
             x = [0.0, 0.0, 0.0, 0.0, 1.0]
         else:
@@ -238,8 +238,9 @@ class TestProfileScan:
             assert f[0] == full[j]
 
 
-# The numpy profile columns and scan that the C passes replaced, kept
-# verbatim but for names: the oracle of the buffered scan, bit for bit.
+# The numpy profile columns that the C passes replaced, kept verbatim but
+# for names, and the three-level scan written with them: the oracle of the
+# buffered scan, bit for bit.
 def _numpy_profile_columns(grid, x, idx) -> Tuple[np.ndarray, np.ndarray]:
     cols = idx if idx.size != 1 else np.append(idx, idx[0] - 1 if idx[0] else 1)
     theta = grid[cols]
@@ -251,13 +252,13 @@ def _numpy_profile_columns(grid, x, idx) -> Tuple[np.ndarray, np.ndarray]:
     return f[: idx.size], g[: idx.size]
 
 
-def _numpy_profile_scan(x: np.ndarray, xmax: float, xbar: float) -> Tuple[np.ndarray, np.ndarray]:
-    grid = _theta_grid((1.0 - 1e-9) / xmax, 1e-8 / xbar, 1e7 / xmax)
-    f, gams = np.full(grid.size, np.inf), np.full(grid.size, np.nan)
-    f[_FIRST], gams[_FIRST] = _numpy_profile_columns(grid, x, _FIRST)
+def _numpy_prune(grid, f, gams, every):
+    """The unevaluated multiples of ``every`` whose bound is not above the
+    best, a and b the nearest evaluated indices below and above."""
     best = float(f.min())
-
-    a, b = _A, _B
+    seen = np.flatnonzero(~np.isnan(gams))
+    pos = np.searchsorted(seen, np.arange(grid.size), side="right") - 1
+    a, b = seen[pos], seen[np.minimum(pos + 1, seen.size - 1)]
     ga, gb = gams[a], gams[b]
     with np.errstate(divide="ignore", invalid="ignore"):
         chord = ga + (gb - ga) * (grid - grid[a]) / (grid[b] - grid[a])
@@ -266,8 +267,16 @@ def _numpy_profile_scan(x: np.ndarray, xmax: float, xbar: float) -> Tuple[np.nda
         lr = np.where((grid > 0.0) & (c > 0.0), np.maximum(lr, np.log(c / grid)), lr)
         bound = np.where(gb <= -1.0, np.inf, lr + c)
     pruned = bound > best + _SCAN_MARGIN * (1.0 + abs(best))
-    rest = np.flatnonzero(np.isnan(gams) & ~pruned)
-    f[rest], gams[rest] = _numpy_profile_columns(grid, x, rest)
+    return np.flatnonzero(np.isnan(gams) & ~pruned & (np.arange(grid.size) % every == 0))
+
+
+def _numpy_profile_scan(x: np.ndarray, xmax: float, xbar: float) -> Tuple[np.ndarray, np.ndarray]:
+    grid = _theta_grid((1.0 - 1e-9) / xmax, 1e-8 / xbar, 1e7 / xmax)
+    f, gams = np.full(grid.size, np.inf), np.full(grid.size, np.nan)
+    f[_FIRST], gams[_FIRST] = _numpy_profile_columns(grid, x, _FIRST)
+    for every in (4, 1):  # every 4th index the bound leaves, then all it leaves
+        rest = _numpy_prune(grid, f, gams, every)
+        f[rest], gams[rest] = _numpy_profile_columns(grid, x, rest)
     return grid, f
 
 
@@ -311,6 +320,67 @@ class TestScanOracle:
                 args = (x, float(x.max()), float(x.mean()))
                 for got, want in zip(_profile_scan(*args), _numpy_profile_scan(*args)):
                     assert np.array_equal(got, want)
+
+
+class TestScanCost:
+    def test_columns_per_fit_on_a_student_t_trajectory(self, monkeypatch):
+        # the 197 trajectory fits (m = 4..200) of one Student-t(4) sample:
+        # 82.7 columns per fit with one pruning pass, 49.1 with two
+        columns = []
+        scan_pass = estimators._scan_pass
+        monkeypatch.setattr(estimators, "_scan_pass",
+                            lambda *args: columns.append(args[-1]) or scan_pass(*args))
+        s = dist.sample(dist.student_t(4), 10_000, dist.RngStream(11, 2))
+        for m in range(4, 201):
+            gp_ml_fit(excesses_over_threshold(s, paired_k(s.n, m)))
+        assert sum(columns) / 197 <= 50.0
+
+
+class TestScoreSums:
+    """The score's C sums have the bits of np.add.reduce, and the score those
+    of the numpy score it replaced."""
+
+    @staticmethod
+    def _sums(x, logs, theta):
+        sums = np.empty(2)
+        _spacing_kernel().profile_sums(x.ctypes.data, logs.ctypes.data, x.size, theta, sums.ctypes.data)
+        return sums
+
+    @pytest.mark.parametrize("sizes", [range(1, 301), range(1023, 1026), [7500, 9999]])
+    def test_pairwise_sums_equal_add_reduce(self, sizes):
+        rng = np.random.default_rng(48)
+        for k in sizes:
+            # mixed signs and magnitudes, so that the order of the additions shows
+            logs = rng.standard_normal(k) * 10.0 ** rng.uniform(-8.0, 8.0, k)
+            x = rng.exponential(size=k) * 10.0 ** rng.uniform(-3.0, 3.0, k)
+            theta = float(rng.uniform(-0.9, 5.0)) / float(x.max())
+            tx = theta * x
+            tx += 1.0
+            want = [float(np.add.reduce(logs)), float(np.add.reduce(np.divide(x, tx)))]
+            assert self._sums(x, logs, theta).tolist() == want, k
+
+    def test_empty_sum_is_zero(self):
+        x = np.empty(0)
+        assert self._sums(x, x, 0.5).tolist() == [0.0, 0.0]
+
+    def test_score_equals_the_numpy_score(self):
+        # excesses over the minimum of a Student-t(4) sample reach gamma(theta)
+        # <= -1 near theta = -1/max(x), where both scores are NaN, as they are
+        # at and below -1/max(x), where log1p(theta x) is -inf or NaN
+        s = dist.sample(dist.student_t(4), 10_000, dist.RngStream(12, 2))
+        for k in (5, 150, 9999):
+            x = excesses_over_threshold(s, k)
+            xmax, buf = float(x.max()), np.empty(k)
+            args = (x, buf, x.ctypes.data, buf.ctypes.data)
+            grid = _theta_grid((1.0 - 1e-9) / xmax, 1e-8 / float(x.mean()), 1e7 / xmax)
+            thetas = [*grid, 0.0, -1.0 / xmax, -2.0 / xmax, *np.linspace(grid[0], grid[40], 50)]
+            nan = 0
+            for theta in thetas:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    got, want = _profile_score(float(theta), *args), _old_profile_score(float(theta), x)
+                assert got == want or (math.isnan(got) and math.isnan(want)), (k, theta)
+                nan += math.isnan(got)
+            assert nan > 0 or k == 5
 
 
 # The fit path before its per-call rework (numpy means, two geomspace calls,
