@@ -88,15 +88,20 @@ static void rank_step(const double *restrict v, long i, long len, int split,
  * k >= i + 3, is loaded once, multiplied by the four spacings in rank order
  * and stored once.  Exponents then move every 4 floor(every / 4) ranks, a
  * multiple of the tile, and the last len mod 4 ranks run one at a time on
- * the same schedule. */
-void spacing_products(const double *restrict v, long rows, long stride, long j_hi,
+ * the same schedule.  A row whose scan_row prefix is shorter than j_hi is
+ * skipped, its p and e left as they were; returns the number of such rows. */
+long spacing_products(const double *restrict v, long rows, long stride, long j_hi,
                       long headroom, double *restrict p, int64_t *restrict e)
 {
     const long len = j_hi - 1;
+    long skipped = 0;
     for (long r = 0; r < rows; r++, v += stride, p += len, e += len) {
         double small, large;
         int lo, hi;
-        scan_row(v, 1, j_hi, &small, &large);
+        if (scan_row(v, 1, j_hi, &small, &large) < j_hi) {
+            skipped++;
+            continue;
+        }
         frexp(small, &lo);
         frexp(large, &hi);
         long span = 1 - lo > hi + 1 ? 1 - lo : hi + 1;
@@ -131,41 +136,61 @@ void spacing_products(const double *restrict v, long rows, long stride, long j_h
         }
         renormalise(p, e, len);
     }
+    return skipped;
 }
 
 /* The log binomial ratios of the Pickands weights, for each of `rows` block
- * sizes m = ms[i] over a row of `cols` entries: w[0] = head[i], and
- * w[t] = (d_1 + ... + d_t) + head[i] with d_t = ln_desc[m - 2 + t] -
- * ln_desc[1 + t] (ln_desc[u] = ln(n - u)), the partial sums taken left to
- * right, for t < n - m + 2; the rest of the row is 0. */
-void weight_logs(const double *restrict ln_desc, long n, const int64_t *restrict ms, long rows,
-                 const double *restrict head, long cols, double *restrict w)
+ * sizes m = ms[i], row i at w + i * cols: w[0] = head[i], and w[t] = (d_1 +
+ * ... + d_t) + head[i] with d_t = ln_desc[m - 2 + t] - ln_desc[1 + t]
+ * (ln_desc[u] = ln(n - u)), the partial sums taken left to right, for t <
+ * n - m + 2 and t < cols.  For m > 3 the walk stops at the first t whose
+ * w[t] + ln_desc[t + 2] is below cut[i]: keep[i] = t and logb[i] is that
+ * value.  A row that runs to its end keeps n - m + 2 entries with logb[i] =
+ * -inf, and one that runs into cols first keeps cols with logb[i] = +inf.
+ * Entries keep[i] .. width - 1 become 0, width the largest keep, which is
+ * returned; nothing at or past cols is written. */
+long weight_logs(const double *restrict ln_desc, long n, const int64_t *restrict ms, long rows,
+                 const double *restrict head, const double *restrict cut, long cols,
+                 double *restrict w, int64_t *restrict keep, double *restrict logb)
 {
-    for (long i = 0; i < rows; i++, w += cols) {
-        const long len = n - ms[i] + 2;
+    long width = 0;
+    double *row = w;
+    for (long i = 0; i < rows; i++, row += cols) {
+        const long len = n - ms[i] + 2, end = len < cols ? len : cols;
         const double *up = ln_desc + ms[i] - 2, *down = ln_desc + 1;
+        const int cutting = ms[i] > 3;  /* m = 3 has constant ratios */
         double acc = 0.0;
-        w[0] = head[i];
-        for (long t = 1; t < len; t++) {
+        logb[i] = len <= cols ? -INFINITY : INFINITY;
+        row[0] = head[i];
+        long t = 1;
+        for (; t < end; t++) {
             const double d = up[t] - down[t];
             acc = t == 1 ? d : acc + d;
-            w[t] = acc + head[i];
+            row[t] = acc + head[i];
+            if (cutting && row[t] + down[t + 1] < cut[i]) {
+                logb[i] = row[t] + down[t + 1];
+                break;
+            }
         }
-        for (long t = len; t < cols; t++)
-            w[t] = 0.0;
+        keep[i] = t;
+        width = t > width ? t : width;
     }
+    for (long i = 0; i < rows; i++, w += cols)
+        for (long t = keep[i]; t < width; t++)
+            w[t] = 0.0;
+    return width;
 }
 
-/* Multiply entry t of each weight row (m = ms[i], j = t + 2) by the block
- * factor 2 (n - j + 1) / (m - 2) - j, entries t >= n - m + 2 becoming 0,
- * then by s[t] unless s is NULL. */
-void weight_factors(long n, const int64_t *restrict ms, long rows, long cols,
-                    const double *restrict s, double *restrict w)
+/* Multiply entry t < width of each weight row (row i at w + i * stride,
+ * m = ms[i], j = t + 2) by the block factor 2 (n - j + 1) / (m - 2) - j,
+ * entries t >= keep[i] becoming 0, then by s[t] unless s is NULL. */
+void weight_factors(long n, const int64_t *restrict ms, const int64_t *restrict keep, long rows,
+                    long width, long stride, const double *restrict s, double *restrict w)
 {
-    for (long i = 0; i < rows; i++, w += cols) {
-        const long len = n - ms[i] + 2;
+    for (long i = 0; i < rows; i++, w += stride) {
+        const long len = keep[i];
         const double block = (double)(ms[i] - 2);
-        for (long t = 0; t < cols; t++) {
+        for (long t = 0; t < width; t++) {
             const double j = (double)(t + 2);
             const double v = t < len ? w[t] * (2.0 * ((double)n - j + 1.0) / block - j) : 0.0;
             w[t] = s ? v * s[t] : v;
@@ -196,8 +221,11 @@ static double abs_max(const double *p, long J)
  * each of `levels` levels takes sigma = 2^(c + e), 2^e above the largest
  * |p| left, splits every p into q = (sigma + p) - sigma and p - q, and
  * stores the sum of the q in sums[r * levels + k]: every partial sum of the
- * q is a double, so that sum is exact in any order.  rem[r] = 2^c times the
- * largest |p| left after the last level.  scratch holds J doubles. */
+ * q is a double, so that sum is exact in any order, here LANES independent
+ * accumulators (term t in acc[t mod LANES]) that the compiler can
+ * vectorise.  rem[r] = 2^c times the largest |p| left after the last level.
+ * scratch holds J doubles. */
+#define LANES 16
 void sum_levels(const double *P, long rows, long stride, long J, long c, long levels,
                 double lo, double hi, double *restrict scratch, double *restrict sums,
                 double *restrict rem, int8_t *restrict fits)
@@ -215,11 +243,21 @@ void sum_levels(const double *P, long rows, long stride, long J, long c, long le
             int e;
             frexp(big, &e);
             const double sigma = ldexp(1.0, e + (int)c);
-            for (long t = 0; t < J; t++) {
+            double acc[LANES] = {0.0};
+            long t = 0;
+            for (; t + LANES <= J; t += LANES)
+                for (int u = 0; u < LANES; u++) {
+                    const double q = (p[t + u] + sigma) - sigma;
+                    scratch[t + u] = p[t + u] - q;
+                    acc[u] += q;
+                }
+            for (int u = 0; t < J; t++, u++) {
                 const double q = (p[t] + sigma) - sigma;
                 scratch[t] = p[t] - q;
-                sums[k] += q;
+                acc[u] += q;
             }
+            for (int u = 0; u < LANES; u++)
+                sums[k] += acc[u];
             big = abs_max(scratch, J);
         }
         rem[r] = ldexp(big, (int)c);

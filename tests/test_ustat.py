@@ -36,8 +36,10 @@ from xustat.ustat import (
     _SUM_MIN,
     _exact_sums,
     _extract,
+    _ln_desc,
     _spacing_scan,
     _spacing_sums,
+    _tail_constants,
     _weight_rows,
     brute_force_ustat,
     log_spacing_sums,
@@ -132,7 +134,7 @@ class TestWeightRows:
         ms = list(ms)
         for block in (1, 7, 64):
             for b in range(0, len(ms), block):
-                rows = _weight_rows(n, ms[b : b + block])
+                rows = _weight_rows(_ln_desc(n), ms[b : b + block])[0]
                 assert rows.shape == (len(ms[b : b + block]), n - ms[b] + 2)
                 for row, m in zip(rows, ms[b : b + block]):
                     want = _weights_oracle(n, m)
@@ -177,12 +179,14 @@ class TestWeightRowsOracle:
             for b in range(0, len(ms), size):
                 block = ms[b : b + size]
                 want = _weight_rows_oracle(n, block)
-                assert np.array_equal(_weight_rows(n, block), want)
-                assert np.array_equal(_weight_rows(n, block, s), want * s[: want.shape[1]])
+                assert np.array_equal(_weight_rows(_ln_desc(n), block)[0], want)
+                got = _weight_rows(_ln_desc(n), block, s)[0]
+                assert np.array_equal(got, want * s[: want.shape[1]])
 
     def test_unsorted_and_repeated_block_sizes(self):
         for block in ([9, 3, 5], [4, 4], [10, 3, 7, 3, 8, 6, 5, 9, 4]):
-            assert np.array_equal(_weight_rows(10, block), _weight_rows_oracle(10, block))
+            got = _weight_rows(_ln_desc(10), block)[0]
+            assert np.array_equal(got, _weight_rows_oracle(10, block))
 
 
 class TestOverlapPmf:
@@ -357,7 +361,7 @@ class TestPickandsUstat:
         s = sort_sample(rng.random(300))
         grid = pickands_ustat_grid(s, [3, 10, 50, 300])
         for m, got in grid.items():
-            assert got == pytest.approx(pickands_ustat(s, m), rel=1e-12, abs=1e-12)
+            assert got == pickands_ustat(s, m)
 
     def test_grid_records_per_m_failures(self):
         # tie at the 4th/5th largest: small m touches it, m = n does not
@@ -476,6 +480,137 @@ class TestWeightCutoff:
         block = _spacing_sums(mat, 700)
         for row, got in zip(mat, block):
             assert np.array_equal(_spacing_sums(row[None], 700)[0], got)
+
+
+def _full_grid(values, ms):
+    """math.fsum(w * s) over every term of each block size, from one sweep."""
+    n = values.size
+    s = _spacing_sums(values[None], n - min(ms) + 3)[0]
+    return [math.fsum(pickands_weights(n, m).w * s[: n - m + 2]) for m in ms]
+
+
+def _exact_tail(n, m):
+    """sum_{t >= k} |w_t| (t + 1) for every k, the batch's tail over the full
+    weight row (without its factor 2), with 0 appended for k = n - m + 2."""
+    w = pickands_weights(n, m).w
+    return np.append(np.cumsum((np.abs(w) * np.arange(1, w.size + 1))[::-1])[::-1], 0.0)
+
+
+class TestGridCutoff:
+    """The grid's per-row cut-off (module docstring) keeps the bits of the
+    full-length sums."""
+
+    MS = [*range(3, 40), 50, 73, 100, 150, 200, 400, 999, 1000]
+
+    @pytest.mark.parametrize("family", range(len(TestWeightCutoff.FAMILIES)))
+    def test_cut_sum_equals_full_sum(self, family):
+        spec = TestWeightCutoff.FAMILIES[family]
+        x = dist.sample(spec, 1000, dist.RngStream(21, family)).values
+        for v in (x, x + 1e6, x * 1e150, x * 1e-150):
+            grid = pickands_ustat_grid(sort_sample(v), self.MS)
+            full = _full_grid(v, self.MS)
+            assert all(math.isfinite(u) for u in full)
+            assert [grid[m] for m in self.MS] == full
+
+    def test_tie_leaves_the_block_sizes_below_it(self):
+        # a tie between order statistics 700 and 701: m < 303 touches it
+        x = dist.sample(dist.student_t(4.0), 1000, dist.RngStream(21, 7)).values.copy()
+        x[700] = x[699]
+        grid = pickands_ustat_grid(sort_sample(x), self.MS)
+        ok = [m for m in self.MS if m >= 303]
+        assert all(math.isnan(grid[m]) for m in self.MS if m < 303)
+        assert [grid[m] for m in ok] == _full_grid(x, ok)
+
+    def test_fallback_gives_full_sum(self, monkeypatch):
+        x = dist.sample(dist.gp(0.5), 600, dist.RngStream(22, 0)).values
+        ms = [3, 4, 20, 40, 200, 600]
+        passed = []
+        rounds_to = ustat._rounds_to
+
+        def spy(r, parts, remainder, tail):
+            verdict = rounds_to(r, parts, remainder, tail)
+            if tail > 0.0:  # a cut row; its full-length redo has tail 0
+                passed.append(verdict)
+            return verdict
+
+        monkeypatch.setattr(ustat, "_CUT_TARGET", 1.0)
+        monkeypatch.setattr(ustat, "_rounds_to", spy)
+        for v in (x, x + 1e6, x * 1e150):
+            grid = pickands_ustat_grid(sort_sample(v), ms)
+            assert [grid[m] for m in ms] == _full_grid(v, ms)
+        # m = 3 is never cut, m = n = 600 keeps its two terms
+        assert passed == [False] * 12
+
+
+class TestGridTailBound:
+    """``weight_logs`` stops each row where the geometric bound on its tail
+    falls below the row's cut, and that bound holds."""
+
+    @pytest.mark.parametrize("n", [2000, 10_000])
+    def test_bound_is_at_least_the_exact_tail(self, n):
+        ms = list(range(3, 201))
+        ln_desc = _ln_desc(n)
+        const = _tail_constants(n, ms)
+        tails = [_exact_tail(n, m) for m in ms]
+        full = _weight_rows(ln_desc, ms)[0]
+        for level in (-200.0, -100.0, -53.0, -46.0, -20.0, -5.0):
+            w, keep, logb = _weight_rows(ln_desc, ms, None, level - const)
+            for i, m in enumerate(ms):
+                k = int(keep[i])
+                assert np.array_equal(w[i, :k], full[i, :k]) and not w[i, k:].any()
+                if m == 3 or k == n - m + 2:
+                    assert logb[i] == -np.inf
+                    continue
+                bound = math.exp(logb[i] + const[i])
+                assert logb[i] < level - const[i]
+                assert tails[i][k] <= bound
+                assert math.isfinite(bound) and bound <= math.exp(level)
+
+    def test_trajectory_keeps_about_half_the_terms(self, monkeypatch):
+        n, ms = 10_000, range(3, 201)
+        kept = []
+        block = ustat._weight_rows
+
+        def count(ln_desc, block_ms, s=None, cut=None):
+            out = block(ln_desc, block_ms, s, cut)
+            kept.append(int(out[1].sum()))
+            return out
+
+        monkeypatch.setattr(ustat, "_weight_rows", count)
+        x = dist.sample(dist.student_t(4.0), n, dist.RngStream(11, 2))
+        grid = pickands_ustat_grid(x, ms)
+        assert sum(kept) <= 0.55 * sum(n - m + 2 for m in ms)  # 52.7 % at n = 10^4
+        assert [grid[m] for m in ms] == _full_grid(x.values, list(ms))
+
+    @pytest.mark.parametrize("family", range(4))
+    def test_trajectory_families_match_the_single_path(self, family):
+        spec = [dist.gp(0.5), dist.student_t(4.0), dist.burr(1.0, 2.0), dist.gp(-0.3)][family]
+        x = dist.sample(spec, 10_000, dist.RngStream(12, family + 1))
+        grid = pickands_ustat_grid(x, range(3, 201))
+        assert [grid[m] for m in range(3, 201)] == _full_grid(x.values, list(range(3, 201)))
+        for m in (3, 4, 20, 100, 200):
+            assert grid[m] == pickands_ustat(x, m)
+
+    def test_short_rows_write_nothing_past_cols(self):
+        # rows of n - m + 2 = 98 entries laid out 40 apart: each stops at
+        # cols, nothing past it is written, and its bound is +inf
+        n, ms, cols = 100, [4, 6], 40
+        ln_desc = _ln_desc(n)
+        head = np.array([-1.0, -2.0])
+        mv = np.array(ms, dtype=np.int64)
+        cut = np.full(2, -np.inf)
+        buf = np.full(len(ms) * cols + 1, 7.5)  # the last entry is a guard
+        keep, logb = np.empty(2, dtype=np.int64), np.empty(2)
+        width = ustat._spacing_kernel().weight_logs(
+            ln_desc.ctypes.data, n, mv.ctypes.data, 2, head.ctypes.data, cut.ctypes.data, cols,
+            buf.ctypes.data, keep.ctypes.data, logb.ctypes.data,
+        )
+        assert width == cols and keep.tolist() == [cols, cols] and logb.tolist() == [np.inf] * 2
+        assert buf[-1] == 7.5
+        rows = buf[:-1].reshape(2, cols)
+        for row, m, h in zip(rows, ms, head):
+            steps = ln_desc[m - 2 + 1 : m - 2 + cols] - ln_desc[2 : 1 + cols]
+            assert np.array_equal(row, np.concatenate([[h], np.cumsum(steps) + h]))
 
 
 def _terms(lo, hi):
@@ -636,6 +771,17 @@ class TestExtractOracle:
             self._same(mat)
             self._same(mat[:, ::-1])
 
+    def test_rows_of_every_length_against_the_lanes(self):
+        # the level sums run in 16 accumulators: every remainder of J mod 16,
+        # rows shorter than one pass of them, and a long row with a ragged end
+        rng = np.random.default_rng(27)
+        for J in [*range(1, 41), 10_003]:
+            mat = rng.standard_normal((4, J)) * np.exp(rng.uniform(-40, 40, (4, J)))
+            mat[1] = np.round(mat[1] * 2.0**20) * 2.0**-20  # sums that cancel to few bits
+            mat[2, -1] = -math.fsum(mat[2, :-1])
+            self._same(mat)
+            self._same(mat[:, ::-1])
+
 
 class TestTracedCallPaths:
     """The benchmark's traced run times ``log_spacing_sums``,
@@ -755,6 +901,23 @@ class TestLogSpacingSums:
         for j in range(2, 41):
             direct = sum(math.log(v[i - 1] - v[j - 1]) for i in range(1, j))
             assert s[j - 2] == pytest.approx(direct, rel=1e-12)
+
+    def test_tie_raises_without_a_numpy_warning(self):
+        v = np.array([9.0, 7.0, 4.0, 4.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateSpacing, match="order statistics 3 and 4"):
+                log_spacing_sums(v, 5)
+        assert np.array_equal(log_spacing_sums(v, 3), _spacing_sums(v[None], 3)[0])
+
+    def test_one_scan_per_grid(self, monkeypatch):
+        # the kernel's own scan finds ties, so the grid's scan is the only one
+        scans = []
+        scan = ustat._spacing_scan
+        monkeypatch.setattr(ustat, "_spacing_scan", lambda *a: scans.append(a) or scan(*a))
+        x = dist.sample(dist.gp(0.5), 300, dist.RngStream(26, 1))
+        grid = pickands_ustat_grid(x, [3, 10, 50])
+        assert len(scans) == 1 and all(math.isfinite(g) for g in grid.values())
 
 
 def _decreasing_prefix(v: np.ndarray, j_hi: int) -> np.ndarray:
