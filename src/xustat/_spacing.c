@@ -80,16 +80,16 @@ static void rank_step(const double *restrict v, long i, long len, int split,
 /* For each of `rows` rows of v (row r starts at v + r * stride and strictly
  * decreases over its first j_hi entries), p[k] * 2^e[k] is the product of the
  * spacings v[i] - v[k + 1], i = 0..k, multiplied in that order, with p in
- * [1, 2); p and e hold j_hi - 1 entries per row.  Exponents move into e every
- * `every` ranks, the most that keeps a product of the row's spacings (its
- * span from scan_row) within 2^+-headroom; where none fits, frexp splits each
- * factor first.  With every >= 4 one pass takes four ranks i..i+3: p[i],
+ * [1, 2); p and e hold j_hi - 1 entries per row.  `every` is the most ranks
+ * whose spacings (their span from scan_row) keep a product within
+ * 2^+-headroom.  With every >= 4 one pass takes four ranks i..i+3: p[i],
  * p[i + 1] and p[i + 2] take their one to three factors, then each p[k],
  * k >= i + 3, is loaded once, multiplied by the four spacings in rank order
- * and stored once.  Exponents then move every 4 floor(every / 4) ranks, a
- * multiple of the tile, and the last len mod 4 ranks run one at a time on
- * the same schedule.  A row whose scan_row prefix is shorter than j_hi is
- * skipped, its p and e left as they were; returns the number of such rows. */
+ * and stored once; exponents move into e every 4 floor(every / 4) ranks and
+ * the last len mod 4 ranks run one at a time.  With every < 4 frexp splits
+ * each factor first and exponents move every headroom ranks.  A row whose
+ * scan_row prefix is shorter than j_hi is skipped, its p and e left as they
+ * were; returns the number of such rows. */
 long spacing_products(const double *restrict v, long rows, long stride, long j_hi,
                       long headroom, double *restrict p, int64_t *restrict e)
 {
@@ -106,7 +106,7 @@ long spacing_products(const double *restrict v, long rows, long stride, long j_h
         frexp(large, &hi);
         long span = 1 - lo > hi + 1 ? 1 - lo : hi + 1;
         long every = headroom / (span > 1 ? span : 1);
-        const int split = every == 0;
+        const int split = every < 4;
         if (split)
             every = headroom;
         for (long k = 0; k < len; k++) {
@@ -114,7 +114,7 @@ long spacing_products(const double *restrict v, long rows, long stride, long j_h
             e[k] = 0;
         }
         long i = 0;
-        if (every >= 4 && !split) {
+        if (!split) {
             every -= every % 4;
             for (; i + 4 <= len; i += 4) {
                 const double a = v[i], b = v[i + 1], c = v[i + 2], d = v[i + 3];
@@ -147,8 +147,8 @@ long spacing_products(const double *restrict v, long rows, long stride, long j_h
  * w[t] + ln_desc[t + 2] is below cut[i]: keep[i] = t and logb[i] is that
  * value.  A row that runs to its end keeps n - m + 2 entries with logb[i] =
  * -inf, and one that runs into cols first keeps cols with logb[i] = +inf.
- * Entries keep[i] .. width - 1 become 0, width the largest keep, which is
- * returned; nothing at or past cols is written. */
+ * Entries keep[i] .. width - 1 become -inf, which exp turns into 0, width
+ * the largest keep, which is returned; nothing at or past cols is written. */
 long weight_logs(const double *restrict ln_desc, long n, const int64_t *restrict ms, long rows,
                  const double *restrict head, const double *restrict cut, long cols,
                  double *restrict w, int64_t *restrict keep, double *restrict logb)
@@ -177,22 +177,21 @@ long weight_logs(const double *restrict ln_desc, long n, const int64_t *restrict
     }
     for (long i = 0; i < rows; i++, w += cols)
         for (long t = keep[i]; t < width; t++)
-            w[t] = 0.0;
+            w[t] = -INFINITY;
     return width;
 }
 
 /* Multiply entry t < width of each weight row (row i at w + i * stride,
- * m = ms[i], j = t + 2) by the block factor 2 (n - j + 1) / (m - 2) - j,
- * entries t >= keep[i] becoming 0, then by s[t] unless s is NULL. */
-void weight_factors(long n, const int64_t *restrict ms, const int64_t *restrict keep, long rows,
-                    long width, long stride, const double *restrict s, double *restrict w)
+ * m = ms[i], j = t + 2) by the finite block factor 2 (n - j + 1) / (m - 2) -
+ * j, then by s[t] unless s is NULL: the padding's zeros stay zeros. */
+void weight_factors(long n, const int64_t *restrict ms, long rows, long width, long stride,
+                    const double *restrict s, double *restrict w)
 {
     for (long i = 0; i < rows; i++, w += stride) {
-        const long len = keep[i];
         const double block = (double)(ms[i] - 2);
         for (long t = 0; t < width; t++) {
             const double j = (double)(t + 2);
-            const double v = t < len ? w[t] * (2.0 * ((double)n - j + 1.0) / block - j) : 0.0;
+            const double v = w[t] * (2.0 * ((double)n - j + 1.0) / block - j);
             w[t] = s ? v * s[t] : v;
         }
     }

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -250,7 +249,8 @@ def sigma2_integral_mc(
     gamma: float,
     inner_reps: int = 200_000,
     quad_nodes: int = 128,
-    rng: Optional[RngStream] = None,
+    *,
+    rng: RngStream,
 ) -> VarianceEstimate:
     """Quadrature of the squared inner expectation defining sigma2.
 
@@ -267,8 +267,6 @@ def sigma2_integral_mc(
         raise ArgumentOutOfRange("need at least 1e4 inner replications")
     if quad_nodes < 8:
         raise ArgumentOutOfRange("need at least 8 quadrature nodes")
-    if rng is None:
-        rng = RngStream(0)
     g = rng.generator()
     t, wq = np.polynomial.legendre.leggauss(quad_nodes)
     t = 0.5 * (t + 1.0)

@@ -117,16 +117,6 @@ def _profile_score(theta: float, x: np.ndarray, buf: np.ndarray, xp: int, bp: in
     return quotients / k * (1.0 / gam + 1.0) - 1.0 / theta
 
 
-def _profile_columns(grid, x, idx) -> Tuple[np.ndarray, np.ndarray]:
-    """f(theta) and gamma(theta) at grid[idx], +inf where f is infeasible:
-    one pass of the scan (:func:`_scan_pass`) on any grid, excesses and
-    indices."""
-    grid = np.ascontiguousarray(grid, dtype=float)
-    x, idx = np.ascontiguousarray(x, dtype=float), np.asarray(idx, dtype=np.int64)
-    _scan_pass(_spacing_kernel(), x.ctypes.data, x.size, grid.ctypes.data, idx.ctypes.data, idx.size)
-    return _SPACE.f[: idx.size].copy(), _SPACE.gam[: idx.size].copy()
-
-
 def _scan_pass(lib, xp: int, k: int, gp: int, ip: int, c: int) -> None:
     """Evaluate f(theta) and gamma(theta) at the c grid points idx[0..c), for
     the k excesses at address xp, the grid at gp and the int64 indices at ip:

@@ -37,13 +37,13 @@ exactly halfway between two doubles (``math.fsum`` rounds it to even) or a
 remainder that could move the rounding fails the test; those rows, and rows
 whose largest |term| is not finite or lies outside [2^-960, 2^960] (clear of
 overflow and of the subnormal range the extraction lemma excludes), get
-``math.fsum`` of the row.  Every path therefore keeps the bits of
-``math.fsum``, with one Python call per row on three numbers instead of one
-over the whole row.  The extraction is one C loop (``sum_levels`` in
-``_spacing.c``, :func:`_extract`): per row one pass for the largest |p| and
-one per level.  A level sum is exact in any order, so the C loop's 16
-independent accumulators give the value numpy's pairwise sum gave; the
-certificate and the fallback stay in Python.
+``math.fsum`` of the row if their tail is 0, and NaN if it is not: the terms
+were cut, and the caller sums the row again over all of them.  Every path
+therefore keeps the bits of ``math.fsum``, with one Python call per row on
+three numbers instead of one over the whole row.  The extraction is one C
+loop (``sum_levels`` in ``_spacing.c``, :func:`_extract`), per row one pass
+for the largest |p| and one per level, its 16 accumulators exact in any
+order; the certificate and the fallback stay in Python.
 
 Exact weight cut-off (single, batch and grid).  With L a row's largest
 |ln spacing|, taken at its smallest or largest spacing
@@ -80,11 +80,11 @@ recursive update, so n = 10^4 and beyond evaluate without overflow; the grid
 builds the rows of a block of m at once from one table of logarithms per
 call (:func:`_weight_rows`).  Two C passes surround numpy's ``exp``: the
 running sums of the log ratios, each row's additions in the order numpy's
-``cumsum`` takes them, and the block factor with the zero padding, the grid
-multiplying in s_j in the same pass.  Every logarithm and exponential of a
-weight stays numpy's or ``math``'s (the cut-off's bound only decides how
-many terms are kept), and C rounds each addition, multiplication and
-division as numpy does, so the weights keep their bits.
+``cumsum`` takes them, padded with -inf for ``exp`` to make 0, and the block
+factor, the grid multiplying in s_j in the same pass.  Every logarithm and
+exponential of a weight stays numpy's or ``math``'s (the cut-off's bound
+only decides how many terms are kept), and C rounds each addition,
+multiplication and division as numpy does, so the weights keep their bits.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ _SIGNATURES = {
     "spacing_scan": "vplllpppp",
     "spacing_products": "lpllllpp",
     "weight_logs": "lplplpplppp",
-    "weight_factors": "vlpplllpp",
+    "weight_factors": "vlplllpp",
     "sum_levels": "vplllllddpppp",
     "profile_fill": "vplpplp",
     "profile_add": "vplllp",
@@ -202,13 +202,13 @@ def _weight_rows(
     in Python) and follows the recursion ratio_j = ratio_{j-1} *
     (n-j-m+4)/(n-j+1).  ``weight_logs`` (``_spacing.c``) adds the
     differences of ``ln_desc`` left to right along each row, as a row-wise
-    cumulative sum does, and adds the start to each partial sum; numpy's
-    ``exp`` runs in place on the block; then ``weight_factors`` multiplies
-    each entry by the sign-carrying block factor 2(n-j+1)/(m-2) - j and,
-    given ``s``, by s[t], zeroing the padding first.  C and numpy round each
-    subtraction, addition, division and multiplication the same way, so each
-    kept entry equals the same recursion run for its m alone in numpy, bit
-    for bit.
+    cumulative sum does, adds the start to each partial sum and pads with
+    -inf; numpy's ``exp`` runs in place on the block, the padding becoming 0;
+    then ``weight_factors`` multiplies each entry by the sign-carrying block
+    factor 2(n-j+1)/(m-2) - j and, given ``s``, by s[t].  C and numpy round
+    each subtraction, addition, division and multiplication the same way, so
+    each kept entry equals the same recursion run for its m alone in numpy,
+    bit for bit.
     """
     lib = _spacing_kernel()
     n = ln_desc.size
@@ -222,13 +222,12 @@ def _weight_rows(
     cut = np.full(mv.size, -np.inf) if cut is None else np.ascontiguousarray(cut, dtype=float)
     w = np.empty((mv.size, cols))
     keep, logb = np.empty(mv.size, dtype=np.int64), np.empty(mv.size)
-    mp, wp, kp = mv.ctypes.data, w.ctypes.data, keep.ctypes.data
+    mp, wp = mv.ctypes.data, w.ctypes.data
     width = lib.weight_logs(ln_desc.ctypes.data, n, mp, mv.size, head.ctypes.data,
-                            cut.ctypes.data, cols, wp, kp, logb.ctypes.data)
+                            cut.ctypes.data, cols, wp, keep.ctypes.data, logb.ctypes.data)
     w = w[:, :width]
     np.exp(w, out=w)
-    sp = None if s is None else s.ctypes.data
-    lib.weight_factors(n, mp, kp, mv.size, width, cols, sp, wp)
+    lib.weight_factors(n, mp, mv.size, width, cols, None if s is None else s.ctypes.data, wp)
     return w, keep, logb
 
 
@@ -357,11 +356,11 @@ def _spacing_sums(v: np.ndarray, j_hi: int) -> np.ndarray:
       order and stored once; every r' = 4 floor(r/4) <= r ranks the open
       products move their exponents into E through their bit patterns, and
       the last (j_hi - 1) mod 4 ranks run one at a time on that schedule.
-      With r < 4 each pass takes one rank; with no r >= 1 (spacings beyond
-      about 2^+-1000) libm ``frexp`` first splits every factor into p and E.
+      With r < 4 (spacings beyond about 2^+-250) each pass takes one rank,
+      libm ``frexp`` first splitting every factor into p and E.
     * The logs and E _LN2_HI + (E _LN2_LO + ln p) are numpy's, in place.
 
-    Either way p_j takes its factors i = 1..j-1 in rank order, one rounded
+    In both modes p_j takes its factors i = 1..j-1 in rank order, one rounded
     multiplication each, and no product overflows or becomes subnormal.
     Rescaling by a power of two is exact and rounding a product of normal
     numbers depends only on their significands, so s_j does not depend on
@@ -606,23 +605,23 @@ def pickands_ustat_batch(values: np.ndarray, m: int) -> np.ndarray:
 def _exact_sums(P: np.ndarray, tail) -> Tuple[np.ndarray, np.ndarray]:
     """Per row of ``P``, the rounding of its sum plus any x with |x| <= tail.
 
-    Returns the sums and a mask of the rows that are proven; every other row
-    gets ``math.fsum`` of the row (module docstring).  ``tail`` is a number
-    or one per row.  With tail = 0 every row equals ``math.fsum`` bit for bit.
-    The extraction runs in C (:func:`_extract`); the certificate and the
-    fallback run here, one row at a time.
+    Returns the sums and a mask of the rows that are proven; an unproven row
+    gets ``math.fsum`` of the row if its tail is 0, else NaN (module
+    docstring).  ``tail`` is a number or one per row; with tail = 0 every
+    row equals ``math.fsum`` bit for bit.  The extraction runs in C
+    (:func:`_extract`); the certificate and the fallback run here.
     """
     nrow = P.shape[0]
     tail = np.broadcast_to(np.asarray(tail, dtype=float), (nrow,))
     levels, fits, rem = _extract(P)
-    out = np.empty(nrow)
+    out = np.full(nrow, np.nan)
     proven = np.zeros(nrow, dtype=bool)
     rows = zip(levels.tolist(), fits.tolist(), rem.tolist(), tail.tolist())
     for i, (parts, ok, bound, t) in enumerate(rows):
         r = math.fsum(parts)
         if ok and _rounds_to(r, parts, bound, t):
             out[i], proven[i] = r, True
-        else:
+        elif t == 0.0:
             out[i] = math.fsum(P[i].tolist())
     return out, proven
 

@@ -20,9 +20,10 @@ from xustat.estimators import (
     GpMlFit,
     _FIRST,
     _SCAN_BUFFER,
-    _profile_columns,
+    _SPACE,
     _profile_scan,
     _profile_score,
+    _scan_pass,
     _theta_grid,
     excesses_over_threshold,
     gp_ml_fit,
@@ -30,6 +31,16 @@ from xustat.estimators import (
 )
 from xustat.harness import _pickands_and_gpml
 from xustat.ustat import _spacing_kernel, pickands_ustat, pickands_ustat_grid
+
+
+def _profile_columns(grid, x, idx) -> Tuple[np.ndarray, np.ndarray]:
+    """f(theta) and gamma(theta) at grid[idx], +inf where f is infeasible:
+    one pass of the scan (:func:`_scan_pass`) on any grid, excesses and
+    indices."""
+    grid = np.ascontiguousarray(grid, dtype=float)
+    x, idx = np.ascontiguousarray(x, dtype=float), np.asarray(idx, dtype=np.int64)
+    _scan_pass(_spacing_kernel(), x.ctypes.data, x.size, grid.ctypes.data, idx.ctypes.data, idx.size)
+    return _SPACE.f[: idx.size].copy(), _SPACE.gam[: idx.size].copy()
 
 
 def _midpoint_grid(gamma, k):

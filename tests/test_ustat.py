@@ -542,6 +542,48 @@ class TestGridCutoff:
         assert passed == [False] * 12
 
 
+class TestDeferredRows:
+    """A cut row that the certificate refuses is summed once, over all its
+    terms: ``_exact_sums`` hands it back unsummed and the caller's
+    full-length pass sums it."""
+
+    MS = (4, 20, 40, 200)
+
+    @pytest.mark.parametrize("refuse_all", [False, True])
+    def test_cut_rows_are_summed_only_at_full_length(self, refuse_all, monkeypatch):
+        n = 600
+        x = dist.sample(dist.gp(0.5), n, dist.RngStream(22, 0)).values
+        mat = np.stack([x, x * 1e150, x + 1e6])
+        want = {m: _full_sums(mat, m) for m in self.MS}
+        lengths = []
+        fsum, rounds_to = math.fsum, ustat._rounds_to
+
+        def recording(terms):
+            terms = list(terms)
+            if len(terms) > 4:  # not one of the certificate's short sums
+                lengths.append(len(terms))
+            return fsum(terms)
+
+        cut = []
+
+        def refusing(r, parts, remainder, tail):
+            cut.append(tail > 0.0)
+            return False if refuse_all else rounds_to(r, parts, remainder, tail)
+
+        monkeypatch.setattr(ustat, "_CUT_TARGET", 1.0)  # every cut row is refused
+        monkeypatch.setattr(ustat, "_rounds_to", refusing)
+        monkeypatch.setattr(math, "fsum", recording)
+        for m in self.MS:
+            lengths.clear()
+            cut.clear()
+            grid = [pickands_ustat_grid(sort_sample(row), [m])[m] for row in mat]
+            batch = pickands_ustat_batch(mat, m).tolist()
+            assert grid == batch == want[m]
+            assert sum(cut) == 6  # three rows, cut in the grid and in the batch
+            # with every certificate refused, each row's full-length pass is summed
+            assert lengths == [n - m + 2] * (6 if refuse_all else 0)
+
+
 class TestGridTailBound:
     """``weight_logs`` stops each row where the geometric bound on its tail
     falls below the row's cut, and that bound holds."""
@@ -680,6 +722,8 @@ class TestExactSums:
         for row, r, ok, t in zip(rows, got.tolist(), proven, tail.tolist()):
             if ok:
                 assert math.fsum(row + [t]) == r == math.fsum(row + [-t])
+            elif t > 0.0:  # a cut row: the caller sums it again at full length
+                assert math.isnan(r)
             else:
                 assert r == math.fsum(row)
 
